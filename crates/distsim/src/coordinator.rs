@@ -41,7 +41,7 @@
 //! every thread count.
 
 use crate::checkpoint::{
-    load_checkpoint, save_checkpoint, ArenaCheckpoint, CheckpointItem, CheckpointKey,
+    load_checkpoint, save_checkpoint_view, CheckpointItem, CheckpointKey, CheckpointView,
 };
 use crate::comm::{CommunicationCost, CostModel};
 use crate::error::ProtocolError;
@@ -58,8 +58,9 @@ use coresets::{
     CoresetParams,
 };
 use graph::arena_file::{ArenaFile, SegmentLoader, SegmentRetryPolicy};
+use graph::metrics::ResidentCharge;
 use graph::partition::{PartitionStrategy, PartitionedGraph};
-use graph::{metrics, Graph, GraphError};
+use graph::{Graph, GraphError, GraphView};
 use matching::matching::Matching;
 use matching::maximum::MaximumMatchingAlgorithm;
 use rand::SeedableRng;
@@ -436,55 +437,15 @@ impl ArenaProtocol {
     /// `k` and `n` come from the arena header; every coreset buffer alive at
     /// the coordinator (plus merge scratch) is charged to
     /// [`graph::metrics::resident_edges`], alongside the loader's segment
-    /// accounting.
+    /// accounting, and released on every exit path.
     pub fn run_matching<B: MatchingCoresetBuilder>(
         &self,
         arena: &ArenaFile,
         builder: &B,
         seed: u64,
     ) -> Result<SimultaneousRun<Matching>, ProtocolError> {
-        let n = arena.n();
-        let params = CoresetParams::new(n, arena.k());
-        let model = CostModel::for_n(n);
-        let mut communication = CommunicationCost::default();
-        let fan_in = match self.compose {
-            ComposeMode::Tree { fan_in } => fan_in,
-            // Flat composition is the degenerate tree whose "root set" is all
-            // k coresets: a fan-in wide enough that no merge round fires.
-            ComposeMode::Flat => arena.k().max(2),
-        };
-        let merge = |level: usize, node: usize, group: Vec<Graph>| {
-            let union_edges: usize = group.iter().map(Graph::m).sum();
-            metrics::record_resident_edges_acquired(union_edges);
-            let merged = merge_matching_coresets(n, &params, builder, seed, level, node, &group);
-            metrics::record_resident_edges_released(union_edges);
-            metrics::record_resident_edges_acquired(merged.m());
-            metrics::record_resident_edges_released(union_edges);
-            merged
-        };
-        let mut folder = TreeFolder::new(arena.k(), fan_in, merge);
-        let mut loader = SegmentLoader::new(arena)?;
-        for i in 0..arena.k() {
-            let piece = loader
-                .load(i)
-                .map_err(|source| ProtocolError::Segment { machine: i, source })?;
-            let coreset = builder.build(piece, &params, i, &mut machine_rng(seed, i));
-            communication.record_message(&model, coreset.m(), 0);
-            metrics::record_resident_edges_acquired(coreset.m());
-            folder.push(coreset);
-        }
-        loader.release();
-        let roots = folder.finish();
-        let root_edges: usize = roots.iter().map(Graph::m).sum();
-        // The final flat solve's compaction scratch is one more union pass.
-        metrics::record_resident_edges_acquired(root_edges);
-        let answer = solve_composed_matching(&roots, MaximumMatchingAlgorithm::Auto);
-        metrics::record_resident_edges_released(2 * root_edges);
-        Ok(SimultaneousRun {
-            answer,
-            communication,
-            piece_sizes: arena.piece_sizes(),
-        })
+        self.run_matching_resumable(arena, builder, seed, &FaultRunOptions::default())
+            .map(|r| r.run)
     }
 
     /// Runs the vertex-cover protocol from an on-disk arena (same schedule
@@ -495,44 +456,8 @@ impl ArenaProtocol {
         builder: &B,
         seed: u64,
     ) -> Result<SimultaneousRun<VertexCover>, ProtocolError> {
-        let n = arena.n();
-        let params = CoresetParams::new(n, arena.k());
-        let model = CostModel::for_n(n);
-        let mut communication = CommunicationCost::default();
-        let fan_in = match self.compose {
-            ComposeMode::Tree { fan_in } => fan_in,
-            ComposeMode::Flat => arena.k().max(2),
-        };
-        let merge = |level: usize, node: usize, group: Vec<VcCoresetOutput>| {
-            let union_edges: usize = group.iter().map(|o| o.residual.m()).sum();
-            metrics::record_resident_edges_acquired(union_edges);
-            let merged = merge_vc_coresets(n, &params, builder, seed, level, node, group);
-            metrics::record_resident_edges_released(union_edges);
-            metrics::record_resident_edges_acquired(merged.residual.m());
-            metrics::record_resident_edges_released(union_edges);
-            merged
-        };
-        let mut folder = TreeFolder::new(arena.k(), fan_in, merge);
-        let mut loader = SegmentLoader::new(arena)?;
-        for i in 0..arena.k() {
-            let piece = loader
-                .load(i)
-                .map_err(|source| ProtocolError::Segment { machine: i, source })?;
-            let output = builder.build(piece, &params, i, &mut machine_rng(seed, i));
-            communication.record_message(&model, output.residual.m(), output.fixed_vertices.len());
-            metrics::record_resident_edges_acquired(output.residual.m());
-            folder.push(output);
-        }
-        loader.release();
-        let roots = folder.finish();
-        let root_edges: usize = roots.iter().map(|o| o.residual.m()).sum();
-        let answer = compose_vertex_cover(&roots);
-        metrics::record_resident_edges_released(root_edges);
-        Ok(SimultaneousRun {
-            answer,
-            communication,
-            piece_sizes: arena.piece_sizes(),
-        })
+        self.run_vertex_cover_resumable(arena, builder, seed, &FaultRunOptions::default())
+            .map(|r| r.run)
     }
 
     /// Runs the matching protocol from an arena under a fault plan, with
@@ -563,167 +488,36 @@ impl ArenaProtocol {
         opts: &FaultRunOptions,
     ) -> Result<FaultyRun<Matching>, ProtocolError> {
         let n = arena.n();
-        let k = arena.k();
-        let params = CoresetParams::new(n, k);
-        let model = CostModel::for_n(n);
-        let fan_in = match self.compose {
-            ComposeMode::Tree { fan_in } => fan_in,
-            ComposeMode::Flat => k.max(2),
-        };
-        let injector = FaultInjector::new(opts.plan.clone());
-        let key = CheckpointKey {
-            problem: <Graph as CheckpointItem>::PROBLEM,
-            n: n as u64,
-            k: k as u64,
-            m: arena.m() as u64,
+        let params = CoresetParams::new(n, arena.k());
+        let Leaves {
+            roots,
+            charge,
+            communication,
+            mut faults,
+        } = self.fold_leaves(
+            arena,
             seed,
-            fan_in: fan_in as u64,
-            fault_seed: opts.plan.fault_seed,
-        };
-        let merge = |level: usize, node: usize, group: Vec<Graph>| {
-            let union_edges: usize = group.iter().map(Graph::m).sum();
-            metrics::record_resident_edges_acquired(union_edges);
-            let merged = merge_matching_coresets(n, &params, builder, seed, level, node, &group);
-            metrics::record_resident_edges_released(union_edges);
-            metrics::record_resident_edges_acquired(merged.m());
-            metrics::record_resident_edges_released(union_edges);
-            merged
-        };
-
-        let mut communication = CommunicationCost::default();
-        let mut report = FaultReport::new(opts.plan.fault_seed);
-        let resumed = opts
-            .checkpoint
-            .as_deref()
-            .and_then(|p| load_checkpoint::<Graph>(p, &key));
-        let (mut folder, start) = match resumed {
-            Some(ck) => {
-                communication = ck.communication;
-                report.injected = ck.injected;
-                report.retried = ck.retried;
-                report.recovered = ck.recovered;
-                report.ticks = ck.ticks;
-                report.degraded = !ck.lost_machines.is_empty();
-                report.lost_machines = ck.lost_machines;
-                let live: usize = ck.pending.iter().flatten().map(Graph::m).sum();
-                metrics::record_resident_edges_acquired(live);
-                let pushed = ck.pushed;
-                (
-                    TreeFolder::resume(k, fan_in, merge, pushed, ck.pending),
-                    pushed,
-                )
-            }
-            None => (TreeFolder::new(k, fan_in, merge), 0),
-        };
-
-        let mut loader = SegmentLoader::new(arena)?;
-        loader.set_fault_plan(Some(opts.plan.segment_plan()));
-        loader.set_retry_policy(SegmentRetryPolicy {
-            max_attempts: opts.retry.max_attempts.max(1),
-        });
-        let (mut seg_injected, mut seg_retried) = (0u64, 0u64);
-        for i in start..k {
-            let outcome: MachineOutcome<Graph> = match loader.load(i) {
-                Ok(piece) => run_machine_with_faults(&injector, &opts.retry, i, || {
-                    builder.build(piece, &params, i, &mut machine_rng(seed, i))
-                }),
-                Err(source) => {
-                    if !opts.plan.is_armed() {
-                        return Err(ProtocolError::Segment { machine: i, source });
-                    }
-                    MachineOutcome {
-                        summary: None,
-                        injected: 0,
-                        retried: 0,
-                        ticks: 0,
-                    }
-                }
-            };
-            // Fold the loader's per-segment injection/retry deltas into the
-            // run totals; segment retries are charged the flat base backoff
-            // on the simulated tick clock.
-            let d_inj = loader.injected_faults() - seg_injected;
-            let d_ret = loader.retries() - seg_retried;
-            seg_injected += d_inj;
-            seg_retried += d_ret;
-            report.injected += d_inj;
-            report.retried += d_ret;
-            report.ticks = report
-                .ticks
-                .saturating_add(opts.retry.backoff_ticks.saturating_mul(d_ret));
-            if d_inj > 0 && outcome.summary.is_some() && outcome.injected == 0 {
-                // Recovered at the segment layer only; absorb() below would
-                // not see those injections.
-                report.recovered += 1;
-            }
-            report.absorb(i, &outcome);
-            match outcome.summary {
-                Some(coreset) => {
-                    communication.record_message(&model, coreset.m(), 0);
-                    metrics::record_resident_edges_acquired(coreset.m());
-                    folder.push(coreset);
-                }
-                None => folder.push(Graph::empty(n)),
-            }
-            if let Some(path) = opts.checkpoint.as_deref() {
-                save_checkpoint(
-                    path,
-                    &key,
-                    &ArenaCheckpoint {
-                        pushed: folder.pushed(),
-                        pending: folder.pending().to_vec(),
-                        communication: communication.clone(),
-                        injected: report.injected,
-                        retried: report.retried,
-                        recovered: report.recovered,
-                        ticks: report.ticks,
-                        lost_machines: report.lost_machines.clone(),
-                    },
-                )?;
-            }
-            if opts.kill_after_leaves == Some(folder.pushed()) {
-                return Err(ProtocolError::Interrupted {
-                    pushed: folder.pushed(),
-                });
-            }
-        }
-        loader.release();
-        if report.lost_machines.len() == k {
-            return Err(ProtocolError::NoSurvivors);
-        }
-        if report.degraded && opts.plan.on_loss == DegradedComposition::Fail {
-            return Err(ProtocolError::MachinesLost {
-                machines: report.lost_machines.clone(),
-            });
-        }
-        let roots = folder.finish();
+            opts,
+            |piece, i| builder.build(piece, &params, i, &mut machine_rng(seed, i)),
+            |level, node, group: Vec<Graph>| {
+                merge_matching_coresets(n, &params, builder, seed, level, node, &group)
+            },
+        )?;
         let root_edges: usize = roots.iter().map(Graph::m).sum();
-        metrics::record_resident_edges_acquired(root_edges);
+        // The final flat solve's compaction scratch is one more union pass.
+        charge.acquire(root_edges);
         let answer = solve_composed_matching(&roots, MaximumMatchingAlgorithm::Auto);
-        metrics::record_resident_edges_released(2 * root_edges);
-        report.achieved_vs_fault_free = if report.degraded {
+        charge.release(2 * root_edges);
+        faults.achieved_vs_fault_free = if faults.degraded {
             // The fault-free baseline needs every segment intact; a genuinely
             // corrupt arena has no computable baseline.
             self.run_matching(arena, builder, seed)
                 .ok()
-                .map(|clean| match clean.answer.len() {
-                    0 => 1.0,
-                    b => answer.len() as f64 / b as f64,
-                })
+                .map(|clean| size_ratio(answer.len(), clean.answer.len()))
         } else {
             Some(1.0)
         };
-        if let Some(path) = opts.checkpoint.as_deref() {
-            let _ = std::fs::remove_file(path);
-        }
-        Ok(FaultyRun {
-            run: SimultaneousRun {
-                answer,
-                communication,
-                piece_sizes: arena.piece_sizes(),
-            },
-            faults: report,
-        })
+        Ok(completed(arena, opts, answer, communication, faults))
     }
 
     /// Runs the vertex-cover protocol from an arena under a fault plan, with
@@ -737,16 +531,58 @@ impl ArenaProtocol {
         opts: &FaultRunOptions,
     ) -> Result<FaultyRun<VertexCover>, ProtocolError> {
         let n = arena.n();
-        let k = arena.k();
-        let params = CoresetParams::new(n, k);
+        let params = CoresetParams::new(n, arena.k());
+        let Leaves {
+            roots,
+            charge,
+            communication,
+            mut faults,
+        } = self.fold_leaves(
+            arena,
+            seed,
+            opts,
+            |piece, i| builder.build(piece, &params, i, &mut machine_rng(seed, i)),
+            |level, node, group: Vec<VcCoresetOutput>| {
+                merge_vc_coresets(n, &params, builder, seed, level, node, group)
+            },
+        )?;
+        let root_edges: usize = roots.iter().map(|o| o.residual.m()).sum();
+        let answer = compose_vertex_cover(&roots);
+        charge.release(root_edges);
+        faults.achieved_vs_fault_free = if faults.degraded {
+            self.run_vertex_cover(arena, builder, seed)
+                .ok()
+                .map(|clean| size_ratio(answer.len(), clean.answer.len()))
+        } else {
+            Some(1.0)
+        };
+        Ok(completed(arena, opts, answer, communication, faults))
+    }
+
+    /// The leaf loop shared by every arena run: stream each segment under
+    /// `opts`' fault plan, `build` its coreset, fold it into the composition
+    /// tree through `merge`, and checkpoint after every leaf. Returns the
+    /// tree's roots, still charged to the resident-edge gauge through the
+    /// returned guard; every early return drops the guard and releases them.
+    fn fold_leaves<T: ArenaSummary>(
+        &self,
+        arena: &ArenaFile,
+        seed: u64,
+        opts: &FaultRunOptions,
+        build: impl Fn(GraphView<'_>, usize) -> T,
+        merge: impl Fn(usize, usize, Vec<T>) -> T,
+    ) -> Result<Leaves<T>, ProtocolError> {
+        let (n, k) = (arena.n(), arena.k());
         let model = CostModel::for_n(n);
         let fan_in = match self.compose {
             ComposeMode::Tree { fan_in } => fan_in,
+            // Flat composition is the degenerate tree whose "root set" is all
+            // k coresets: a fan-in wide enough that no merge round fires.
             ComposeMode::Flat => k.max(2),
         };
         let injector = FaultInjector::new(opts.plan.clone());
         let key = CheckpointKey {
-            problem: <VcCoresetOutput as CheckpointItem>::PROBLEM,
+            problem: T::PROBLEM,
             n: n as u64,
             k: k as u64,
             m: arena.m() as u64,
@@ -754,40 +590,39 @@ impl ArenaProtocol {
             fan_in: fan_in as u64,
             fault_seed: opts.plan.fault_seed,
         };
-        let merge = |level: usize, node: usize, group: Vec<VcCoresetOutput>| {
-            let union_edges: usize = group.iter().map(|o| o.residual.m()).sum();
-            metrics::record_resident_edges_acquired(union_edges);
-            let merged = merge_vc_coresets(n, &params, builder, seed, level, node, group);
-            metrics::record_resident_edges_released(union_edges);
-            metrics::record_resident_edges_acquired(merged.residual.m());
-            metrics::record_resident_edges_released(union_edges);
+        let charge = ResidentCharge::default();
+        let charged_merge = |level: usize, node: usize, group: Vec<T>| {
+            let union_edges: usize = group.iter().map(T::edge_count).sum();
+            charge.acquire(union_edges);
+            let merged = merge(level, node, group);
+            charge.release(union_edges);
+            charge.acquire(merged.edge_count());
+            charge.release(union_edges);
             merged
         };
 
         let mut communication = CommunicationCost::default();
-        let mut report = FaultReport::new(opts.plan.fault_seed);
+        let mut faults = FaultReport::new(opts.plan.fault_seed);
         let resumed = opts
             .checkpoint
             .as_deref()
-            .and_then(|p| load_checkpoint::<VcCoresetOutput>(p, &key));
+            .and_then(|p| load_checkpoint::<T>(p, &key));
         let (mut folder, start) = match resumed {
             Some(ck) => {
                 communication = ck.communication;
-                report.injected = ck.injected;
-                report.retried = ck.retried;
-                report.recovered = ck.recovered;
-                report.ticks = ck.ticks;
-                report.degraded = !ck.lost_machines.is_empty();
-                report.lost_machines = ck.lost_machines;
-                let live: usize = ck.pending.iter().flatten().map(|o| o.residual.m()).sum();
-                metrics::record_resident_edges_acquired(live);
-                let pushed = ck.pushed;
+                faults.injected = ck.injected;
+                faults.retried = ck.retried;
+                faults.recovered = ck.recovered;
+                faults.ticks = ck.ticks;
+                faults.degraded = !ck.lost_machines.is_empty();
+                faults.lost_machines = ck.lost_machines;
+                charge.acquire(ck.pending.iter().flatten().map(T::edge_count).sum());
                 (
-                    TreeFolder::resume(k, fan_in, merge, pushed, ck.pending),
-                    pushed,
+                    TreeFolder::resume(k, fan_in, charged_merge, ck.pushed, ck.pending),
+                    ck.pushed,
                 )
             }
-            None => (TreeFolder::new(k, fan_in, merge), 0),
+            None => (TreeFolder::new(k, fan_in, charged_merge), 0),
         };
 
         let mut loader = SegmentLoader::new(arena)?;
@@ -797,10 +632,8 @@ impl ArenaProtocol {
         });
         let (mut seg_injected, mut seg_retried) = (0u64, 0u64);
         for i in start..k {
-            let outcome: MachineOutcome<VcCoresetOutput> = match loader.load(i) {
-                Ok(piece) => run_machine_with_faults(&injector, &opts.retry, i, || {
-                    builder.build(piece, &params, i, &mut machine_rng(seed, i))
-                }),
+            let outcome: MachineOutcome<T> = match loader.load(i) {
+                Ok(piece) => run_machine_with_faults(&injector, &opts.retry, i, || build(piece, i)),
                 Err(source) => {
                     if !opts.plan.is_armed() {
                         return Err(ProtocolError::Segment { machine: i, source });
@@ -820,47 +653,35 @@ impl ArenaProtocol {
             let d_ret = loader.retries() - seg_retried;
             seg_injected += d_inj;
             seg_retried += d_ret;
-            report.injected += d_inj;
-            report.retried += d_ret;
-            report.ticks = report
+            faults.injected += d_inj;
+            faults.retried += d_ret;
+            faults.ticks = faults
                 .ticks
                 .saturating_add(opts.retry.backoff_ticks.saturating_mul(d_ret));
             if d_inj > 0 && outcome.summary.is_some() && outcome.injected == 0 {
                 // Recovered at the segment layer only; absorb() below would
                 // not see those injections.
-                report.recovered += 1;
+                faults.recovered += 1;
             }
-            report.absorb(i, &outcome);
+            faults.absorb(i, &outcome);
             match outcome.summary {
-                Some(output) => {
+                Some(summary) => {
                     communication.record_message(
                         &model,
-                        output.residual.m(),
-                        output.fixed_vertices.len(),
+                        summary.edge_count(),
+                        summary.vertex_count(),
                     );
-                    metrics::record_resident_edges_acquired(output.residual.m());
-                    folder.push(output);
+                    charge.acquire(summary.edge_count());
+                    folder.push(summary);
                 }
-                None => folder.push(VcCoresetOutput {
-                    fixed_vertices: Vec::new(),
-                    residual: Graph::empty(n),
-                }),
+                // Empty placeholder: keeps the tree's shape and its
+                // (level, node) RNG streams identical to a fault-free run.
+                None => folder.push(T::empty(n)),
             }
             if let Some(path) = opts.checkpoint.as_deref() {
-                save_checkpoint(
-                    path,
-                    &key,
-                    &ArenaCheckpoint {
-                        pushed: folder.pushed(),
-                        pending: folder.pending().to_vec(),
-                        communication: communication.clone(),
-                        injected: report.injected,
-                        retried: report.retried,
-                        recovered: report.recovered,
-                        ticks: report.ticks,
-                        lost_machines: report.lost_machines.clone(),
-                    },
-                )?;
+                let state =
+                    CheckpointView::new(folder.pushed(), folder.pending(), &communication, &faults);
+                save_checkpoint_view(path, &key, &state)?;
             }
             if opts.kill_after_leaves == Some(folder.pushed()) {
                 return Err(ProtocolError::Interrupted {
@@ -869,39 +690,102 @@ impl ArenaProtocol {
             }
         }
         loader.release();
-        if report.lost_machines.len() == k {
+        if faults.lost_machines.len() == k {
             return Err(ProtocolError::NoSurvivors);
         }
-        if report.degraded && opts.plan.on_loss == DegradedComposition::Fail {
+        if faults.degraded && opts.plan.on_loss == DegradedComposition::Fail {
             return Err(ProtocolError::MachinesLost {
-                machines: report.lost_machines.clone(),
+                machines: faults.lost_machines.clone(),
             });
         }
         let roots = folder.finish();
-        let root_edges: usize = roots.iter().map(|o| o.residual.m()).sum();
-        let answer = compose_vertex_cover(&roots);
-        metrics::record_resident_edges_released(root_edges);
-        report.achieved_vs_fault_free = if report.degraded {
-            self.run_vertex_cover(arena, builder, seed)
-                .ok()
-                .map(|clean| match clean.answer.len() {
-                    0 => 1.0,
-                    b => answer.len() as f64 / b as f64,
-                })
-        } else {
-            Some(1.0)
-        };
-        if let Some(path) = opts.checkpoint.as_deref() {
-            let _ = std::fs::remove_file(path);
-        }
-        Ok(FaultyRun {
-            run: SimultaneousRun {
-                answer,
-                communication,
-                piece_sizes: arena.piece_sizes(),
-            },
-            faults: report,
+        Ok(Leaves {
+            roots,
+            charge,
+            communication,
+            faults,
         })
+    }
+}
+
+/// A coreset type the arena runner streams, charges and checkpoints.
+trait ArenaSummary: CheckpointItem {
+    /// Edges the summary holds: charged to the resident gauge and sent in
+    /// the machine's message.
+    fn edge_count(&self) -> usize;
+    /// Vertices sent alongside the edges.
+    fn vertex_count(&self) -> usize;
+    /// The placeholder composed in place of a lost machine's summary.
+    fn empty(n: usize) -> Self;
+}
+
+impl ArenaSummary for Graph {
+    fn edge_count(&self) -> usize {
+        self.m()
+    }
+
+    fn vertex_count(&self) -> usize {
+        0
+    }
+
+    fn empty(n: usize) -> Self {
+        Graph::empty(n)
+    }
+}
+
+impl ArenaSummary for VcCoresetOutput {
+    fn edge_count(&self) -> usize {
+        self.residual.m()
+    }
+
+    fn vertex_count(&self) -> usize {
+        self.fixed_vertices.len()
+    }
+
+    fn empty(n: usize) -> Self {
+        VcCoresetOutput {
+            fixed_vertices: Vec::new(),
+            residual: Graph::empty(n),
+        }
+    }
+}
+
+/// What [`ArenaProtocol::fold_leaves`] hands to the final solve.
+struct Leaves<T> {
+    /// The `≤ fan_in` roots of the composition tree.
+    roots: Vec<T>,
+    /// Resident-edge charge of the roots, released on drop.
+    charge: ResidentCharge,
+    communication: CommunicationCost,
+    faults: FaultReport,
+}
+
+/// `achieved / baseline`, or `1.0` against an empty baseline.
+fn size_ratio(achieved: usize, baseline: usize) -> f64 {
+    match baseline {
+        0 => 1.0,
+        b => achieved as f64 / b as f64,
+    }
+}
+
+/// Wraps a finished arena run and deletes its (now stale) checkpoint.
+fn completed<T>(
+    arena: &ArenaFile,
+    opts: &FaultRunOptions,
+    answer: T,
+    communication: CommunicationCost,
+    faults: FaultReport,
+) -> FaultyRun<T> {
+    if let Some(path) = opts.checkpoint.as_deref() {
+        let _ = std::fs::remove_file(path);
+    }
+    FaultyRun {
+        run: SimultaneousRun {
+            answer,
+            communication,
+            piece_sizes: arena.piece_sizes(),
+        },
+        faults,
     }
 }
 
@@ -948,6 +832,7 @@ mod tests {
     use coresets::matching_coreset::MaximumMatchingCoreset;
     use coresets::vc_coreset::PeelingVcCoreset;
     use graph::gen::er::gnp;
+    use graph::metrics;
     use matching::maximum::maximum_matching;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -1421,5 +1306,72 @@ mod tests {
             !ckpt.exists(),
             "completed run must remove its checkpoint file"
         );
+    }
+
+    /// Every exit of an arena run — killed, resumed, a corrupt segment with
+    /// and without an armed plan, total loss, loss under `Fail` — leaves the
+    /// resident-edge gauge where it found it, for both problems.
+    #[test]
+    fn resident_gauge_balances_on_every_exit_path() {
+        let _guard = arena_lock();
+        let g = gnp(300, 0.03, &mut rng(23));
+        let (k, fan_in, seed) = (6, 2, 59);
+        let (arena, path) = arena_of(&g, k, seed, "gauge_balance");
+        let ckpt =
+            std::env::temp_dir().join(format!("rc_coord_ckpt_{}_gauge.bin", std::process::id()));
+        let _ = std::fs::remove_file(&ckpt);
+        let proto = ArenaProtocol::tree(fan_in);
+        let (mb, vb) = (MaximumMatchingCoreset::new(), PeelingVcCoreset::new());
+        let start = metrics::resident_edges();
+        let run_both = |arena: &ArenaFile, opts: &FaultRunOptions| {
+            let m = proto
+                .run_matching_resumable(arena, &mb, seed, opts)
+                .map(|_| ());
+            assert_eq!(metrics::resident_edges(), start, "matching: {m:?}");
+            let c = proto
+                .run_vertex_cover_resumable(arena, &vb, seed, opts)
+                .map(|_| ());
+            assert_eq!(metrics::resident_edges(), start, "cover: {c:?}");
+            (m, c)
+        };
+
+        let mut opts = FaultRunOptions {
+            checkpoint: Some(ckpt.clone()),
+            kill_after_leaves: Some(k / 2),
+            ..FaultRunOptions::default()
+        };
+        let killed = ProtocolError::Interrupted { pushed: k / 2 };
+        assert_eq!(run_both(&arena, &opts), (Err(killed.clone()), Err(killed)));
+        opts.kill_after_leaves = None;
+        assert_eq!(run_both(&arena, &opts), (Ok(()), Ok(())));
+
+        let all = FaultRunOptions {
+            plan: FaultPlan::new(5).losing((0..k).collect()),
+            ..FaultRunOptions::default()
+        };
+        let none_left = Err(ProtocolError::NoSurvivors);
+        assert_eq!(run_both(&arena, &all), (none_left.clone(), none_left));
+        let mut fail = FaultRunOptions {
+            plan: FaultPlan::new(5).losing(vec![2]),
+            ..FaultRunOptions::default()
+        };
+        fail.plan.on_loss = DegradedComposition::Fail;
+        let lost = Err(ProtocolError::MachinesLost { machines: vec![2] });
+        assert_eq!(run_both(&arena, &fail), (lost.clone(), lost));
+
+        // Corrupt the last segment's final record: every earlier leaf is
+        // folded (and charged) before the load fails.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        let corrupt = ArenaFile::open(&path).unwrap();
+        let (m, c) = run_both(&corrupt, &FaultRunOptions::default());
+        assert!(matches!(m, Err(ProtocolError::Segment { machine, .. }) if machine == k - 1));
+        assert!(matches!(c, Err(ProtocolError::Segment { machine, .. }) if machine == k - 1));
+        let mut armed = FaultRunOptions::default();
+        armed.plan.segment_io_prob = 1e-9;
+        assert_eq!(run_both(&corrupt, &armed), (Ok(()), Ok(())));
+        std::fs::remove_file(path).unwrap();
     }
 }

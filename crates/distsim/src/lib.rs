@@ -42,7 +42,7 @@ pub mod protocols;
 pub mod report;
 pub mod service;
 
-pub use checkpoint::{ArenaCheckpoint, CheckpointItem, CheckpointKey};
+pub use checkpoint::{ArenaCheckpoint, CheckpointItem, CheckpointKey, CheckpointView};
 pub use comm::{CommunicationCost, CostModel};
 pub use coordinator::{
     ArenaProtocol, ComposeMode, CoordinatorProtocol, FaultRunOptions, FaultyRun, SimultaneousRun,

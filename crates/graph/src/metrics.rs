@@ -33,6 +33,7 @@
 //! path only ever holds one segment plus the live coresets of `log k`
 //! levels, and E16 asserts the measured peak against that bound.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static PIECE_EDGES_MATERIALIZED: AtomicU64 = AtomicU64::new(0);
@@ -121,6 +122,41 @@ pub fn peak_resident_edges() -> u64 {
 #[inline]
 pub fn reset_peak_resident_edges() {
     PEAK_RESIDENT_EDGES.store(RESIDENT_EDGES.load(Ordering::Relaxed), Ordering::Relaxed);
+}
+
+/// Resident edges one owner holds in [`resident_edges`], released on drop.
+///
+/// An owner that routes its acquires and releases through one guard gives
+/// back whatever it still holds when the guard goes out of scope — on an
+/// early return or an unwind as much as on success — so the gauge balances
+/// on every exit path without hand-paired calls. The arena protocol runner
+/// charges its live coresets and merge scratch through one.
+#[derive(Debug, Default)]
+pub struct ResidentCharge {
+    held: Cell<usize>,
+}
+
+impl ResidentCharge {
+    /// Charges `edges` more edge records to this owner.
+    pub fn acquire(&self, edges: usize) {
+        self.held.set(self.held.get() + edges);
+        record_resident_edges_acquired(edges);
+    }
+
+    /// Returns `edges` of this owner's records (saturating at what it holds).
+    pub fn release(&self, edges: usize) {
+        let held = self.held.get();
+        debug_assert!(edges <= held, "released {edges} of {held} held edges");
+        let edges = edges.min(held);
+        self.held.set(held - edges);
+        record_resident_edges_released(edges);
+    }
+}
+
+impl Drop for ResidentCharge {
+    fn drop(&mut self) {
+        record_resident_edges_released(self.held.get());
+    }
 }
 
 /// A point-in-time reading of every process-wide counter.
