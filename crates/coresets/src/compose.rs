@@ -16,19 +16,21 @@
 //!   materialized**: the 2-approximation scans the residual edge slices in
 //!   machine order through the thread's `vertexcover::VcEngine`
 //!   ([`vertexcover::two_approx_cover_concat`]), so the coordinator's VC
-//!   composition performs zero edge-buffer allocations.
+//!   composition performs zero edge-buffer allocations. The fixed vertices
+//!   join in the same call, de-duplicated by the scan's flags, and the cover
+//!   is bulk-built once.
 //!
 //! The *independent* parts of the coordinator's work run on the work-stealing
 //! pool: the warm-start screen over per-machine coresets
-//! ([`solve_composed_matching`]) and the per-residual-slice extent/degree
-//! statistics feeding the concatenated 2-approximation
-//! ([`compose_vertex_cover`]) both fan out per machine and reduce
-//! deterministically (results in machine order; `max`/`sum` folds). The
+//! ([`solve_composed_matching`]) and the per-machine vertex extent feeding
+//! the concatenated 2-approximation ([`compose_vertex_cover`]) both fan out
+//! per machine and reduce deterministically (results in machine order; an
+//! argmax and a `max` fold). The
 //! greedy maximal-matching scan itself is order-defined and stays
 //! sequential — parallelism never changes any composed answer.
 
 use crate::vc_coreset::VcCoresetOutput;
-use graph::{Edge, Graph};
+use graph::{Edge, Graph, VertexId};
 use matching::matching::{edges_form_matching, Matching};
 use matching::maximum::{maximum_matching_concat, MaximumMatchingAlgorithm};
 use rayon::prelude::*;
@@ -99,7 +101,8 @@ pub fn solve_composed_matching_refs(
 /// the paper's, but the trait does not forbid it) are skipped defensively.
 ///
 /// Two passes: a parallel borrow-only screen (`(size, is-matching)` per
-/// piece, machine order preserved by the pool's indexed reassembly), then
+/// piece, machine order preserved by the pool's indexed reassembly; each
+/// check is one hash-free bitmap pass, see [`edges_form_matching`]), then
 /// one sequential argmax and a **single** edge-list clone of the winner —
 /// the old single-pass loop cloned every improving candidate, including
 /// ones that immediately lost to a later machine.
@@ -129,10 +132,16 @@ fn best_piece_matching(coresets: &[&Graph]) -> Option<Matching> {
 /// machine order — duplicate edges across residuals are no-ops for the
 /// greedy maximal matching, so the cover equals the one computed on the
 /// materialized [`Graph::union`] (pinned by the composition tests) while
-/// allocating no union buffer at all. A parallel per-slice statistics pass
-/// (`residual_slice_stats`) sizes the scan's workspace to the vertices the
-/// residuals actually touch and skips it entirely when the residual union is
-/// edgeless; the greedy scan itself is order-defined and stays sequential.
+/// allocating no union buffer at all. A parallel per-machine pass
+/// (`vertex_extent`) sizes the scan's workspace to the vertices the
+/// residuals and fixed sets actually touch; the greedy scan itself is
+/// order-defined and stays sequential.
+///
+/// The fixed vertices are joined in the same engine call: the scan's flags
+/// de-duplicate them against the picks and each other, and the
+/// [`VertexCover`] is bulk-built once from the sorted result — `O(|cover|
+/// log |cover|)` plus one flag probe per fixed vertex, not one ordered-set
+/// insert per vertex.
 pub fn compose_vertex_cover(outputs: &[VcCoresetOutput]) -> VertexCover {
     let refs: Vec<&VcCoresetOutput> = outputs.iter().collect();
     compose_vertex_cover_refs(&refs)
@@ -143,49 +152,34 @@ pub fn compose_vertex_cover(outputs: &[VcCoresetOutput]) -> VertexCover {
 /// freshly rebuilt pieces without cloning (see
 /// [`solve_composed_matching_refs`]).
 pub fn compose_vertex_cover_refs(outputs: &[&VcCoresetOutput]) -> VertexCover {
-    if outputs.is_empty() {
-        return VertexCover::new();
-    }
-    let (n, total_edges) = residual_slice_stats(outputs);
-    let mut cover = VertexCover::new();
-    if total_edges > 0 {
-        let slices: Vec<&[Edge]> = outputs.iter().map(|o| o.residual.edges()).collect();
-        cover = two_approx_cover_concat(n, &slices);
-    }
-    for o in outputs {
-        for &v in &o.fixed_vertices {
-            cover.insert(v);
-        }
-    }
-    cover
+    let n = vertex_extent(outputs);
+    let slices: Vec<&[Edge]> = outputs.iter().map(|o| o.residual.edges()).collect();
+    let fixed: Vec<&[VertexId]> = outputs
+        .iter()
+        .map(|o| o.fixed_vertices.as_slice())
+        .collect();
+    two_approx_cover_concat(n, &slices, &fixed)
 }
 
-/// Parallel per-residual-slice statistics feeding [`two_approx_cover_concat`]:
-/// each machine's slice is scanned for its vertex extent (1 + max endpoint)
-/// and edge count on the work-stealing pool, then the per-slice results fold
-/// deterministically (`max` extent, `sum` of counts).
+/// Parallel per-machine vertex extent feeding [`two_approx_cover_concat`]:
+/// each machine's residual endpoints and fixed vertices are scanned for
+/// their extent (1 + max id) on the work-stealing pool, then the per-machine
+/// results fold deterministically (`max`).
 ///
 /// The tight extent sizes the 2-approximation's epoch-stamped workspace to
-/// the vertices the residuals actually touch instead of each machine's
-/// declared `n` — output-invariant, because the greedy scan only ever flags
-/// endpoints of scanned edges — and a zero edge total lets the caller skip
-/// the scan (and its workspace warm-up) outright.
-fn residual_slice_stats(outputs: &[&VcCoresetOutput]) -> (usize, usize) {
-    let per_slice: Vec<(usize, usize)> = outputs
+/// the vertices the composition actually touches instead of each machine's
+/// declared `n` — output-invariant, because the scan only ever flags
+/// endpoints of scanned edges and fixed vertices.
+fn vertex_extent(outputs: &[&VcCoresetOutput]) -> usize {
+    let per_machine: Vec<usize> = outputs
         .par_iter()
         .map(|o| {
-            let edges = o.residual.edges();
-            let extent = edges
-                .iter()
-                .map(|e| e.u.max(e.v) as usize + 1)
-                .max()
-                .unwrap_or(0);
-            (extent, edges.len())
+            let edges = o.residual.edges().iter().map(|e| e.u.max(e.v));
+            let fixed = o.fixed_vertices.iter().copied();
+            edges.chain(fixed).max().map_or(0, |v| v as usize + 1)
         })
         .collect();
-    per_slice
-        .into_iter()
-        .fold((0, 0), |(n, m), (extent, count)| (n.max(extent), m + count))
+    per_machine.into_iter().max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -317,6 +311,72 @@ mod tests {
         assert!(best_piece_matching(&[&not_matching]).is_none());
         assert!(best_piece_matching(&[&Graph::empty(4)]).is_none());
         assert!(best_piece_matching(&[]).is_none());
+    }
+
+    /// The insert-by-insert assembly the bulk-built cover replaces: the
+    /// 2-approximation's cover, then every machine's fixed vertices one by
+    /// one.
+    fn reference_cover(outputs: &[VcCoresetOutput]) -> VertexCover {
+        let n = outputs.iter().map(|o| o.residual.n()).max().unwrap_or(0);
+        let slices: Vec<&[Edge]> = outputs.iter().map(|o| o.residual.edges()).collect();
+        let mut cover = two_approx_cover_concat(n, &slices, &[]);
+        for o in outputs {
+            for &v in &o.fixed_vertices {
+                cover.insert(v);
+            }
+        }
+        cover
+    }
+
+    #[test]
+    fn bulk_built_cover_equals_insert_by_insert_assembly() {
+        use rand::Rng;
+        let out = |fixed: &[VertexId], pairs: &[(u32, u32)]| VcCoresetOutput {
+            fixed_vertices: fixed.to_vec(),
+            residual: Graph::from_pairs(30, pairs.iter().copied()).unwrap(),
+        };
+        let cases: Vec<Vec<VcCoresetOutput>> = vec![
+            // Fixed vertices overlap the 2-approximation's picks.
+            vec![
+                out(&[1, 7, 3], &[(1, 2), (3, 4)]),
+                out(&[2, 4, 20], &[(5, 6), (2, 9)]),
+            ],
+            // Fixed vertices repeat across machines (and within one).
+            vec![
+                out(&[9, 5, 9], &[(0, 1)]),
+                out(&[5, 9, 11], &[(12, 13)]),
+                out(&[11, 0], &[]),
+            ],
+            // Empty residuals everywhere: the cover is the fixed union.
+            vec![out(&[4, 2], &[]), out(&[2, 8], &[])],
+            // Empty fixed sets everywhere: the cover is the 2-approximation.
+            vec![out(&[], &[(0, 1), (1, 2)]), out(&[], &[(2, 3), (28, 29)])],
+            // Both empty.
+            vec![out(&[], &[]), out(&[], &[])],
+        ];
+        let mut r = rng(8);
+        let random: Vec<Vec<VcCoresetOutput>> = (0..40)
+            .map(|_| {
+                (0..r.gen_range(1..6))
+                    .map(|_| {
+                        let fixed: Vec<VertexId> =
+                            (0..r.gen_range(0..8)).map(|_| r.gen_range(0..30)).collect();
+                        let pairs: Vec<(u32, u32)> = (0..r.gen_range(0..10))
+                            .map(|_| (r.gen_range(0..15), r.gen_range(15..30)))
+                            .collect();
+                        out(&fixed, &pairs)
+                    })
+                    .collect()
+            })
+            .collect();
+        for outputs in cases.iter().chain(&random) {
+            let cover = compose_vertex_cover(outputs);
+            assert_eq!(cover, reference_cover(outputs), "{outputs:?}");
+            for o in outputs {
+                assert!(cover.covers(&o.residual));
+                assert!(o.fixed_vertices.iter().all(|&v| cover.contains(v)));
+            }
+        }
     }
 
     #[test]

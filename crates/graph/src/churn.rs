@@ -34,6 +34,7 @@ use crate::edge::Edge;
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::view::GraphView;
+use std::sync::OnceLock;
 
 /// One edge-churn operation applied to a [`ChurnPartition`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,10 +155,10 @@ pub struct ChurnPartition {
     snaps: Vec<Vec<Edge>>,
     /// Whether machine `i` has diverged from its arena run.
     dirty: Vec<bool>,
-    /// Memoized per-machine fingerprints, valid where `fp_stale[i]` is false
-    /// (always the case for clean machines).
-    fp: Vec<u64>,
-    fp_stale: Vec<bool>,
+    /// Per-machine fingerprint memo: filled by the first
+    /// [`piece_fingerprint`](Self::piece_fingerprint) read after the
+    /// machine's piece last changed, emptied by every effective op on it.
+    fp: Vec<OnceLock<u64>>,
     /// Pending journal ops per machine since the last compaction.
     pending: Vec<usize>,
     pending_total: usize,
@@ -175,9 +176,6 @@ impl ChurnPartition {
             return Err(GraphError::InvalidMachineCount { k });
         }
         let (arena, offsets) = hash_arena(g, k, seed);
-        let fp = (0..k)
-            .map(|i| fingerprint_edges(&arena[offsets[i]..offsets[i + 1]]))
-            .collect();
         Ok(ChurnPartition {
             seed,
             n: g.n(),
@@ -186,8 +184,7 @@ impl ChurnPartition {
             offsets,
             snaps: vec![Vec::new(); k],
             dirty: vec![false; k],
-            fp,
-            fp_stale: vec![false; k],
+            fp: vec![OnceLock::new(); k],
             pending: vec![0; k],
             pending_total: 0,
             compact_num: 1,
@@ -301,7 +298,7 @@ impl ChurnPartition {
     }
 
     fn note_change(&mut self, i: usize) {
-        self.fp_stale[i] = true;
+        self.fp[i].take();
         self.pending[i] += 1;
         self.pending_total += 1;
     }
@@ -344,14 +341,12 @@ impl ChurnPartition {
 
     /// Fingerprint of machine `i`'s current piece (see [`fingerprint_edges`]).
     ///
-    /// Clean machines answer from the memoized value in `O(1)`; machines with
-    /// pending journal ops re-fold their snapshot (`O(p)`).
+    /// Memoized per machine: the first read after the machine's piece changed
+    /// folds the piece once (`O(p)` for piece size `p`); every later read,
+    /// until the next effective op on that machine, is `O(1)`. Compaction
+    /// keeps every piece's content, so it keeps the memo too.
     pub fn piece_fingerprint(&self, i: usize) -> u64 {
-        if self.fp_stale[i] {
-            fingerprint_edges(self.piece_slice(i))
-        } else {
-            self.fp[i]
-        }
+        *self.fp[i].get_or_init(|| fingerprint_edges(self.piece_slice(i)))
     }
 
     /// Fingerprints of every machine's current piece, in machine order.
@@ -391,10 +386,6 @@ impl ChurnPartition {
         for i in 0..k {
             self.snaps[i].clear();
             self.dirty[i] = false;
-            if self.fp_stale[i] {
-                self.fp[i] = fingerprint_edges(self.piece_slice(i));
-                self.fp_stale[i] = false;
-            }
             self.pending[i] = 0;
         }
         self.pending_total = 0;
@@ -551,6 +542,81 @@ mod tests {
         // fingerprint the coreset cache keys on — is back to the original.
         assert!(part.is_dirty(machine));
         assert_eq!(part.fingerprints(), fps);
+    }
+
+    /// Checks every piece of `part` against a direct fold of its slice and
+    /// against a from-scratch hash partition of its current graph.
+    fn assert_memo_matches_scratch(part: &ChurnPartition, step: usize) {
+        let scratch =
+            PartitionedGraph::by_edge_hash(&part.current_graph(), part.k(), part.seed()).unwrap();
+        for i in 0..part.k() {
+            let fp = part.piece_fingerprint(i);
+            assert_eq!(
+                fp,
+                fingerprint_edges(part.piece(i).edges()),
+                "step {step}, piece {i}"
+            );
+            assert_eq!(
+                fp,
+                fingerprint_edges(scratch.piece(i).edges()),
+                "step {step}, piece {i} vs scratch"
+            );
+        }
+    }
+
+    /// The fingerprint memo is emptied by every effective op, survives
+    /// compaction and no-ops, and is independent between a partition and its
+    /// clones: interleave applies, reads, clones and threshold compactions,
+    /// and re-check every piece after each step.
+    #[test]
+    fn fingerprint_memo_tracks_applies_clones_and_compactions() {
+        let n = 40u32;
+        let g = gnp(n as usize, 0.15, &mut rng(10));
+        let mut part = ChurnPartition::new(&g, 4, 3)
+            .unwrap()
+            .with_compact_threshold(1, 20)
+            .unwrap();
+        let mut r = rng(11);
+        let mut compactions = 0;
+        for step in 0..300 {
+            // Read only some pieces first, so the memo holds a mix of filled
+            // and empty slots when the next op lands.
+            if step % 2 == 0 {
+                part.piece_fingerprint(step % part.k());
+            }
+            let u = r.gen_range(0..n);
+            let v = r.gen_range(0..n);
+            if u == v {
+                continue;
+            }
+            let e = Edge::new(u, v);
+            let op = if part.has_edge(e) {
+                ChurnOp::Delete(e)
+            } else {
+                ChurnOp::Insert(e)
+            };
+            assert!(part.apply(op).unwrap());
+            // A no-op must not disturb the memo.
+            assert!(!part.apply(op).unwrap());
+            assert_memo_matches_scratch(&part, step);
+            if part.maybe_compact() {
+                compactions += 1;
+                assert_memo_matches_scratch(&part, step);
+            }
+            if step % 7 == 0 {
+                let before = part.fingerprints();
+                let mut fork = part.clone();
+                let flipped = match op {
+                    ChurnOp::Insert(e) => ChurnOp::Delete(e),
+                    ChurnOp::Delete(e) => ChurnOp::Insert(e),
+                };
+                assert!(fork.apply(flipped).unwrap());
+                assert_memo_matches_scratch(&fork, step);
+                assert_eq!(part.fingerprints(), before, "step {step}: clone leaked");
+                assert_memo_matches_scratch(&part, step);
+            }
+        }
+        assert!(compactions > 0, "threshold 1/20 must compact");
     }
 
     #[test]

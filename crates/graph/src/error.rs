@@ -32,7 +32,8 @@ pub enum GraphError {
         /// The number of right vertices.
         right_n: usize,
     },
-    /// The number of machines `k` must be at least one.
+    /// The number of machines `k` must be at least one (and fit in a `u32`
+    /// machine id).
     InvalidMachineCount {
         /// The requested number of machines.
         k: usize,
@@ -118,7 +119,7 @@ impl fmt::Display for GraphError {
                 )
             }
             GraphError::InvalidMachineCount { k } => {
-                write!(f, "number of machines k={k} must be at least 1")
+                write!(f, "number of machines k={k} must be in 1..=u32::MAX")
             }
             GraphError::InvalidParameter { reason } => {
                 write!(f, "invalid parameter: {reason}")

@@ -89,16 +89,31 @@ impl PartitionedGraph {
         strategy: PartitionStrategy,
         rng: &mut R,
     ) -> Result<Self, GraphError> {
-        if k == 0 {
+        if k == 0 || u32::try_from(k).is_err() {
             return Err(GraphError::InvalidMachineCount { k });
         }
         let all = g.edges();
-        let assignment = assign_indices(all.len(), k, strategy, |i| canonical_sort_key(g, i), rng);
-
+        // Machine ids are kept as `u32` (half the assignment buffer), and the
+        // random draw counts machines as it goes — one `gen_range(0..k)` per
+        // edge in edge order, the RNG consumption every caller relies on.
         let mut counts = vec![0usize; k];
-        for &machine in &assignment {
-            counts[machine] += 1;
-        }
+        let assignment: Vec<u32> = match strategy {
+            PartitionStrategy::Random => all
+                .iter()
+                .map(|_| {
+                    let machine = rng.gen_range(0..k);
+                    counts[machine] += 1;
+                    machine as u32
+                })
+                .collect(),
+            _ => assign_indices(all.len(), k, strategy, |i| canonical_sort_key(g, i), rng)
+                .into_iter()
+                .map(|machine| {
+                    counts[machine] += 1;
+                    machine as u32
+                })
+                .collect(),
+        };
         let mut offsets = vec![0usize; k + 1];
         for i in 0..k {
             offsets[i + 1] = offsets[i] + counts[i];
@@ -108,9 +123,10 @@ impl PartitionedGraph {
         // every index because the cursors sweep their machine's range exactly.
         let mut cursor = offsets.clone();
         let mut edges = vec![Edge { u: 0, v: 1 }; all.len()];
-        for (idx, &machine) in assignment.iter().enumerate() {
-            edges[cursor[machine]] = all[idx];
-            cursor[machine] += 1;
+        for (&e, &machine) in all.iter().zip(&assignment) {
+            let slot = &mut cursor[machine as usize];
+            edges[*slot] = e;
+            *slot += 1;
         }
         Ok(PartitionedGraph {
             n: g.n(),

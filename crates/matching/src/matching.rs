@@ -3,9 +3,9 @@
 
 use graph::{Edge, GraphRef, VertexId};
 use std::collections::BTreeSet;
-// Membership-only endpoint-disjointness checks below keep `HashSet` for O(1)
-// probes; their iteration order is never observed, so hash nondeterminism
-// cannot reach an output.
+// `Matching::is_valid_for` probes edge membership in a `HashSet`; its
+// iteration order is never observed, so hash nondeterminism cannot reach an
+// output.
 use std::collections::HashSet; // xtask: allow(hash-collections)
 
 /// A matching: a set of edges no two of which share an endpoint.
@@ -116,18 +116,9 @@ impl Matching {
     /// Checks that every matched edge is present in `g` and that the edges are
     /// pairwise disjoint (the latter is an invariant, re-checked defensively).
     pub fn is_valid_for<G: GraphRef + ?Sized>(&self, g: &G) -> bool {
-        // Membership-only probe sets; order never observed.
+        // Membership-only probe set; order never observed.
         let edge_set: HashSet<Edge> = g.edges().iter().copied().collect(); // xtask: allow(hash-collections)
-        let mut seen: HashSet<VertexId> = HashSet::new(); // xtask: allow(hash-collections)
-        for e in &self.edges {
-            if !edge_set.contains(e) {
-                return false;
-            }
-            if !seen.insert(e.u) || !seen.insert(e.v) {
-                return false;
-            }
-        }
-        true
+        self.edges.iter().all(|e| edge_set.contains(e)) && edges_form_matching(&self.edges)
     }
 
     /// Checks maximality in `g`: no edge of `g` has both endpoints unmatched.
@@ -145,14 +136,44 @@ impl From<Vec<Edge>> for Matching {
     }
 }
 
-/// Returns `true` if no two of `edges` share an endpoint — the matching
-/// property, checkable on a borrowed slice without building a [`Matching`].
-/// Composition uses this to screen warm-start candidates before cloning any
-/// edge list.
+/// Returns `true` if no two of `edges` share an endpoint (and no edge is a
+/// self-loop) — the matching property, checkable on a borrowed slice without
+/// building a [`Matching`]. Composition uses this to screen warm-start
+/// candidates before cloning any edge list, and every
+/// [`Matching::try_from_edges`] runs it.
+///
+/// Cost: one pass for the largest endpoint, then one pass marking endpoints
+/// in a `u64` bitmap of `extent / 64` words — no hashing. When the id extent
+/// is more than 64× the endpoint count (sparse or hostile ids such as
+/// `u32::MAX - 1`), a sorted copy of the endpoints replaces the bitmap, so
+/// the scratch never exceeds `O(|edges|)` words.
 pub fn edges_form_matching(edges: &[Edge]) -> bool {
-    // Membership-only probe set; order never observed.
-    let mut seen: HashSet<VertexId> = HashSet::with_capacity(edges.len() * 2); // xtask: allow(hash-collections)
-    edges.iter().all(|e| seen.insert(e.u) && seen.insert(e.v))
+    let endpoints = 2 * edges.len();
+    let extent = edges
+        .iter()
+        .map(|e| e.u.max(e.v) as usize + 1)
+        .max()
+        .unwrap_or(0);
+    if extent > 64 * endpoints {
+        return endpoints_distinct_sorted(edges);
+    }
+    // The one scratch buffer: a bit per vertex id below the extent.
+    let mut seen = vec![0u64; extent.div_ceil(64)]; // xtask: allow(hot-path-alloc)
+    let mut mark = |x: VertexId| {
+        let (word, bit) = (x as usize / 64, 1u64 << (x % 64));
+        let fresh = seen[word] & bit == 0;
+        seen[word] |= bit;
+        fresh
+    };
+    edges.iter().all(|e| mark(e.u) && mark(e.v))
+}
+
+/// The sparse-id fallback of [`edges_form_matching`]: sorts a copy of the
+/// endpoints and looks for an adjacent repeat.
+fn endpoints_distinct_sorted(edges: &[Edge]) -> bool {
+    let mut ends: Vec<VertexId> = edges.iter().flat_map(|e| [e.u, e.v]).collect();
+    ends.sort_unstable();
+    ends.windows(2).all(|w| w[0] != w[1])
 }
 
 /// Computes the exact maximum matching size of small graphs by exhaustive
@@ -225,6 +246,57 @@ mod tests {
             edges_form_matching(&bad),
             Matching::try_from_edges(bad.clone()).is_some()
         );
+    }
+
+    /// The insert-into-a-set definition the bitmap and sorted paths replace.
+    fn reference_forms_matching(edges: &[Edge]) -> bool {
+        let mut seen = BTreeSet::new();
+        edges.iter().all(|e| seen.insert(e.u) && seen.insert(e.v))
+    }
+
+    #[test]
+    fn matching_check_equals_the_set_reference() {
+        use rand::{Rng, SeedableRng};
+        let mut r = rand_chacha::ChaCha8Rng::seed_from_u64(12);
+        let top = u32::MAX - 1;
+        let mut fixed = vec![
+            vec![],
+            vec![Edge::new(0, 1)],
+            vec![Edge::new(top - 1, top)],
+            vec![Edge::new(0, top)],
+            vec![Edge::new(0, top), Edge::new(1, top)],
+            vec![Edge::new(5, top), Edge::new(6, 7)],
+            vec![Edge::new(63, 64), Edge::new(64, 127)],
+            // Raw (non-canonical) edges: a self-loop and a reversed pair.
+            vec![Edge { u: 3, v: 3 }],
+            vec![Edge { u: 9, v: 2 }, Edge { u: 4, v: 5 }],
+        ];
+        for trial in 0..400 {
+            let len = r.gen_range(1..40usize);
+            // Small id ranges force shared endpoints (bitmap path); ids near
+            // `u32::MAX` take the sorted path.
+            let (lo, span) = match trial % 3 {
+                0 => (0u32, 2 * len as u32 + 4),
+                1 => (0u32, 40 * len as u32),
+                _ => (u32::MAX - 3 * len as u32, 3 * len as u32),
+            };
+            let edges: Vec<Edge> = (0..len)
+                .filter_map(|_| {
+                    let a = lo + r.gen_range(0..span);
+                    let b = lo + r.gen_range(0..span);
+                    (a != b).then(|| Edge::new(a, b))
+                })
+                .collect();
+            fixed.push(edges);
+        }
+        let mut outcomes = [0usize; 2];
+        for edges in &fixed {
+            let expected = reference_forms_matching(edges);
+            assert_eq!(edges_form_matching(edges), expected, "{edges:?}");
+            assert_eq!(endpoints_distinct_sorted(edges), expected, "{edges:?}");
+            outcomes[expected as usize] += 1;
+        }
+        assert!(outcomes[0] > 50 && outcomes[1] > 50, "{outcomes:?}");
     }
 
     #[test]

@@ -207,37 +207,58 @@ impl VcEngine {
     /// [`crate::approx::two_approx_cover`]). One stamped `O(m)` scan, no
     /// per-call allocation beyond the output.
     pub fn two_approx_cover<G: GraphRef + ?Sized>(&mut self, g: &G) -> VertexCover {
-        self.two_approx_concat(g.n(), std::iter::once(g.edges()))
+        self.two_approx_concat(g.n(), std::iter::once(g.edges()), std::iter::empty())
     }
 
     /// 2-approximate vertex cover of the graph formed by concatenating the
-    /// given edge slices (in order) over vertex ids `0..n`.
+    /// given edge slices (in order) over vertex ids `0..n`, joined with every
+    /// vertex of the `fixed` slices. `n` must exceed every endpoint and every
+    /// fixed vertex id.
     ///
     /// This is the coordinator's composition primitive: the union of the
     /// residual subgraphs is never materialized — the greedy maximal
     /// matching scans the slices in sequence, and duplicate edges across
     /// slices are harmless no-ops (their endpoints are already matched when
     /// the duplicate arrives), so the output equals
-    /// [`Self::two_approx_cover`] on the deduplicated union graph.
+    /// [`Self::two_approx_cover`] on the deduplicated union graph, plus the
+    /// fixed vertices. The coordinator passes the machines' fixed vertex sets
+    /// as `fixed`, so the composed cover is built here once.
+    ///
+    /// The picks, then the fixed vertices not already flagged, go into the
+    /// workspace's reused buffer; the scope flags de-duplicate them, so it
+    /// holds each cover vertex once. It is sorted in place and the cover is
+    /// bulk-built from it, instead of one ordered-set insert per vertex.
     pub fn two_approx_concat<'a>(
         &mut self,
         n: usize,
         slices: impl IntoIterator<Item = &'a [Edge]>,
+        fixed: impl IntoIterator<Item = &'a [VertexId]>,
     ) -> VertexCover {
         let ws = &mut self.workspace;
         ws.begin_scope(n);
-        let mut cover = VertexCover::new();
+        ws.picks.clear();
         for slice in slices {
             for e in slice {
                 if !ws.is_flagged(e.u) && !ws.is_flagged(e.v) {
                     ws.flag(e.u);
                     ws.flag(e.v);
-                    cover.insert(e.u);
-                    cover.insert(e.v);
+                    ws.picks.push(e.u);
+                    ws.picks.push(e.v);
                 }
             }
         }
-        cover
+        // Fixed vertices never change the picks, so they join after the scan,
+        // when a flag means "already in the cover".
+        for part in fixed {
+            for &v in part {
+                if !ws.is_flagged(v) {
+                    ws.flag(v);
+                    ws.picks.push(v);
+                }
+            }
+        }
+        ws.picks.sort_unstable();
+        VertexCover::from_vertices(ws.picks.iter().copied())
     }
 
     /// Greedy maximum-degree vertex cover (see
@@ -401,7 +422,7 @@ mod tests {
         let b = gnp(60, 0.05, &mut rng(2));
         let union = Graph::union(&[&a, &b]);
         let on_union = engine.two_approx_cover(&union);
-        let concat = engine.two_approx_concat(60, [a.edges(), b.edges()]);
+        let concat = engine.two_approx_concat(60, [a.edges(), b.edges()], []);
         assert_eq!(on_union, concat);
         assert!(concat.covers(&union));
     }

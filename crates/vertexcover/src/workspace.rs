@@ -68,6 +68,9 @@ pub struct VcWorkspace {
     pub(crate) round: Vec<VertexId>,
     /// Lazy-deletion heap reused by `greedy_degree_cover`.
     pub(crate) heap: BinaryHeap<(usize, VertexId)>,
+    /// The composed 2-approximation's cover vertices (picks, then fixed
+    /// vertices), sorted before the cover is built from them.
+    pub(crate) picks: Vec<VertexId>,
     solves: u64,
     full_resets: u64,
 }
@@ -94,6 +97,7 @@ impl VcWorkspace {
             bin: Vec::new(),
             round: Vec::new(),
             heap: BinaryHeap::new(),
+            picks: Vec::new(),
             solves: 0,
             full_resets: 0,
         }
