@@ -25,9 +25,9 @@
 //! ([`solve_composed_matching`]) and the per-machine vertex extent feeding
 //! the concatenated 2-approximation ([`compose_vertex_cover`]) both fan out
 //! per machine and reduce deterministically (results in machine order; an
-//! argmax and a `max` fold). The
-//! greedy maximal-matching scan itself is order-defined and stays
-//! sequential — parallelism never changes any composed answer.
+//! argmax and a `max` fold). The greedy maximal-matching scan itself is
+//! order-defined and stays sequential — parallelism never changes any
+//! composed answer.
 
 use crate::vc_coreset::VcCoresetOutput;
 use graph::{Edge, Graph, VertexId};
