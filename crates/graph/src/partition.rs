@@ -93,27 +93,15 @@ impl PartitionedGraph {
             return Err(GraphError::InvalidMachineCount { k });
         }
         let all = g.edges();
-        // Machine ids are kept as `u32` (half the assignment buffer), and the
-        // random draw counts machines as it goes — one `gen_range(0..k)` per
-        // edge in edge order, the RNG consumption every caller relies on.
         let mut counts = vec![0usize; k];
-        let assignment: Vec<u32> = match strategy {
-            PartitionStrategy::Random => all
-                .iter()
-                .map(|_| {
-                    let machine = rng.gen_range(0..k);
-                    counts[machine] += 1;
-                    machine as u32
-                })
-                .collect(),
-            _ => assign_indices(all.len(), k, strategy, |i| canonical_sort_key(g, i), rng)
-                .into_iter()
-                .map(|machine| {
-                    counts[machine] += 1;
-                    machine as u32
-                })
-                .collect(),
-        };
+        let assignment = assign_indices(
+            all.len(),
+            k,
+            strategy,
+            |i| canonical_sort_key(g, i),
+            rng,
+            &mut counts,
+        );
         let mut offsets = vec![0usize; k + 1];
         for i in 0..k {
             offsets[i + 1] = offsets[i] + counts[i];
@@ -325,7 +313,7 @@ pub fn partition_bipartite<R: Rng + ?Sized>(
     strategy: PartitionStrategy,
     rng: &mut R,
 ) -> Result<Vec<BipartiteGraph>, GraphError> {
-    if k == 0 {
+    if k == 0 || u32::try_from(k).is_err() {
         return Err(GraphError::InvalidMachineCount { k });
     }
     let assignment = assign_indices(
@@ -337,10 +325,11 @@ pub fn partition_bipartite<R: Rng + ?Sized>(
             (l as u64) << 32 | r as u64
         },
         rng,
+        &mut vec![0usize; k],
     );
     let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); k];
     for (idx, &machine) in assignment.iter().enumerate() {
-        buckets[machine].push(g.edges()[idx]);
+        buckets[machine as usize].push(g.edges()[idx]);
     }
     Ok(buckets
         .into_iter()
@@ -355,7 +344,7 @@ pub fn partition_weighted<R: Rng + ?Sized>(
     strategy: PartitionStrategy,
     rng: &mut R,
 ) -> Result<Vec<WeightedGraph>, GraphError> {
-    if k == 0 {
+    if k == 0 || u32::try_from(k).is_err() {
         return Err(GraphError::InvalidMachineCount { k });
     }
     let assignment = assign_indices(
@@ -367,10 +356,11 @@ pub fn partition_weighted<R: Rng + ?Sized>(
             (e.u as u64) << 32 | e.v as u64
         },
         rng,
+        &mut vec![0usize; k],
     );
     let mut buckets: Vec<Vec<WeightedEdge>> = vec![Vec::new(); k];
     for (idx, &machine) in assignment.iter().enumerate() {
-        buckets[machine].push(g.edges()[idx]);
+        buckets[machine as usize].push(g.edges()[idx]);
     }
     buckets
         .into_iter()
@@ -386,30 +376,40 @@ fn canonical_sort_key(g: &Graph, i: usize) -> u64 {
 }
 
 /// Computes, for each of `m` edge indices, the machine in `0..k` it is
-/// assigned to under the given strategy. `sort_key` is only consulted by the
-/// adversarial strategy.
+/// assigned to under the given strategy, adding one to `counts[machine]` per
+/// edge as it goes (`counts.len() == k`, `k` fits in a `u32`). `sort_key` is
+/// only consulted by the adversarial strategy.
+///
+/// The random strategy draws exactly one `gen_range(0..k)` per edge, in edge
+/// order — the RNG consumption every partitioner's callers rely on.
 fn assign_indices<R: Rng + ?Sized, K: Fn(usize) -> u64>(
     m: usize,
     k: usize,
     strategy: PartitionStrategy,
     sort_key: K,
     rng: &mut R,
-) -> Vec<usize> {
+    counts: &mut [usize],
+) -> Vec<u32> {
+    debug_assert_eq!(counts.len(), k);
+    let mut assign = |machine: usize| {
+        counts[machine] += 1;
+        machine as u32
+    };
     match strategy {
-        PartitionStrategy::Random => (0..m).map(|_| rng.gen_range(0..k)).collect(),
-        PartitionStrategy::RoundRobin => (0..m).map(|i| i % k).collect(),
+        PartitionStrategy::Random => (0..m).map(|_| assign(rng.gen_range(0..k))).collect(),
+        PartitionStrategy::RoundRobin => (0..m).map(|i| assign(i % k)).collect(),
         PartitionStrategy::Adversarial => {
             // Sort edge indices by (u, v) and cut into k contiguous chunks so
             // that each machine receives whole neighbourhoods.
             let mut order: Vec<usize> = (0..m).collect();
             order.sort_by_key(|&i| sort_key(i));
-            let mut assignment = vec![0usize; m];
+            let mut assignment = vec![0u32; m];
             if m == 0 {
                 return assignment;
             }
             let chunk = m.div_ceil(k);
             for (pos, &idx) in order.iter().enumerate() {
-                assignment[idx] = (pos / chunk).min(k - 1);
+                assignment[idx] = assign((pos / chunk).min(k - 1));
             }
             assignment
         }
