@@ -35,6 +35,11 @@
 //! * [`tree`] — hierarchical composition (Mirrokni–Zadimoghaddam): merge
 //!   coresets `fan_in` at a time over `log k` levels, re-coreseting each
 //!   union, so no merge node materializes more than `fan_in` coresets.
+//! * [`problem`] — the [`CoresetProblem`] trait: each problem's builder,
+//!   message size, lost-machine placeholder, tree merge and final solve
+//!   behind one interface, with the [`MatchingProblem`] and [`CoverProblem`]
+//!   adapters over the builder traits. Every protocol runner is written once
+//!   against it.
 //! * [`pipeline`] — end-to-end convenience runners (random partition → build
 //!   coresets on parallel OS threads → compose), the API most examples use.
 //!
@@ -68,6 +73,7 @@ pub mod greedy_match;
 pub mod matching_coreset;
 pub mod params;
 pub mod pipeline;
+pub mod problem;
 pub mod streams;
 pub mod tree;
 pub mod vc_coreset;
@@ -88,11 +94,9 @@ pub use params::CoresetParams;
 pub use pipeline::{
     DistributedMatching, DistributedVertexCover, MatchingRunResult, VertexCoverRunResult,
 };
+pub use problem::{build_all, tree_compose, CoresetProblem, CoverProblem, MatchingProblem};
 pub use streams::{machine_jobs, machine_rng, node_rng};
-pub use tree::{
-    merge_matching_coresets, merge_vc_coresets, reduce_levels, tree_compose_vertex_cover,
-    tree_solve_matching, TreeFolder, TreePlan,
-};
+pub use tree::{merge_matching_coresets, merge_vc_coresets, reduce_levels, TreeFolder, TreePlan};
 pub use vc_coreset::{
     GroupedVcCoreset, LocalCoverCoreset, PeelingVcCoreset, VcCoresetBuilder, VcCoresetOutput,
 };

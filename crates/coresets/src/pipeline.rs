@@ -24,10 +24,13 @@
 //! so for a fixed seed the results are bit-identical regardless of how many
 //! worker threads run the machines or how they are scheduled. The
 //! composition side keeps the same discipline: its independent sub-solves
-//! (warm-start screening, per-residual-slice statistics, per-weight-class
+//! (warm-start screening, the per-machine vertex extent, per-weight-class
 //! matchings) fan out on the pool and reassemble in input order, while the
 //! order-defined greedy scans stay sequential (see [`crate::compose`] and
 //! [`crate::weighted`]).
+//!
+//! Both runners are the generic build → compose sequence of
+//! [`crate::problem`] instantiated for one problem.
 //!
 //! **Solver hot path:** every maximum-matching solve in the run — the
 //! per-piece coresets and the coordinator's composed solve — goes through
@@ -50,18 +53,15 @@
 //! (`graph::metrics::vc_peel_scratch_elems` stays 0; experiment E14,
 //! `exp_vc_hotpath`, measures this path against the pre-engine peeling).
 
-use crate::compose::{compose_vertex_cover, solve_composed_matching};
 use crate::matching_coreset::{MatchingCoresetBuilder, MaximumMatchingCoreset};
 use crate::params::CoresetParams;
-use crate::streams::machine_jobs;
-use crate::vc_coreset::{PeelingVcCoreset, VcCoresetBuilder, VcCoresetOutput};
+use crate::problem::{build_all, CoresetProblem, CoverProblem, MatchingProblem};
+use crate::vc_coreset::{PeelingVcCoreset, VcCoresetBuilder};
 use graph::partition::PartitionedGraph;
 use graph::{Graph, GraphError, GraphView};
 use matching::matching::Matching;
-use matching::maximum::MaximumMatchingAlgorithm;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use vertexcover::VertexCover;
 
 /// Result of a distributed matching run.
@@ -106,7 +106,6 @@ impl VertexCoverRunResult {
 pub struct DistributedMatching<B: MatchingCoresetBuilder = MaximumMatchingCoreset> {
     k: usize,
     builder: B,
-    coordinator_algorithm: MaximumMatchingAlgorithm,
 }
 
 impl DistributedMatching<MaximumMatchingCoreset> {
@@ -116,7 +115,6 @@ impl DistributedMatching<MaximumMatchingCoreset> {
         DistributedMatching {
             k,
             builder: MaximumMatchingCoreset::new(),
-            coordinator_algorithm: MaximumMatchingAlgorithm::Auto,
         }
     }
 }
@@ -125,17 +123,7 @@ impl<B: MatchingCoresetBuilder> DistributedMatching<B> {
     /// Uses a custom coreset builder (e.g. the maximal-matching negative
     /// control or the subsampled Remark 5.2 coreset).
     pub fn with_builder(k: usize, builder: B) -> Self {
-        DistributedMatching {
-            k,
-            builder,
-            coordinator_algorithm: MaximumMatchingAlgorithm::Auto,
-        }
-    }
-
-    /// Overrides the algorithm the coordinator runs on the composed graph.
-    pub fn coordinator_algorithm(mut self, algorithm: MaximumMatchingAlgorithm) -> Self {
-        self.coordinator_algorithm = algorithm;
-        self
+        DistributedMatching { k, builder }
     }
 
     /// Runs the protocol on `g` with a random `k`-partition derived from
@@ -159,20 +147,12 @@ impl<B: MatchingCoresetBuilder> DistributedMatching<B> {
         pieces: &[GraphView<'_>],
         seed: u64,
     ) -> MatchingRunResult {
-        let params = CoresetParams::new(n, pieces.len().max(1));
-        // All randomness is fixed here, before the fan-out: machine i's
-        // stream is a pure function of (seed, i).
-        let coresets: Vec<Graph> = machine_jobs(pieces, seed)
-            .into_par_iter()
-            .map(|(i, piece, mut rng)| self.builder.build(*piece, &params, i, &mut rng))
-            .collect();
-        let coreset_sizes = coresets.iter().map(Graph::m).collect();
-        let piece_sizes = pieces.iter().map(GraphView::m).collect();
-        let matching = solve_composed_matching(&coresets, self.coordinator_algorithm);
+        let (matching, coreset_sizes) =
+            run_pieces(&MatchingProblem(&self.builder), n, pieces, seed);
         MatchingRunResult {
             matching,
             coreset_sizes,
-            piece_sizes,
+            piece_sizes: pieces.iter().map(GraphView::m).collect(),
         }
     }
 }
@@ -219,20 +199,34 @@ impl<B: VcCoresetBuilder> DistributedVertexCover<B> {
         pieces: &[GraphView<'_>],
         seed: u64,
     ) -> VertexCoverRunResult {
-        let params = CoresetParams::new(n, pieces.len().max(1));
-        let outputs: Vec<VcCoresetOutput> = machine_jobs(pieces, seed)
-            .into_par_iter()
-            .map(|(i, piece, mut rng)| self.builder.build(*piece, &params, i, &mut rng))
-            .collect();
-        let coreset_sizes = outputs.iter().map(VcCoresetOutput::size).collect();
-        let piece_sizes = pieces.iter().map(GraphView::m).collect();
-        let cover = compose_vertex_cover(&outputs);
+        let (cover, coreset_sizes) = run_pieces(&CoverProblem(&self.builder), n, pieces, seed);
         VertexCoverRunResult {
             cover,
             coreset_sizes,
-            piece_sizes,
+            piece_sizes: pieces.iter().map(GraphView::m).collect(),
         }
     }
+}
+
+/// Builds every piece's coreset (machine `i` on its private
+/// `(seed, i)` stream, fixed before the fan-out) and composes them flat.
+/// Returns the answer and each coreset's size (edges plus vertices sent).
+fn run_pieces<P: CoresetProblem>(
+    problem: &P,
+    n: usize,
+    pieces: &[GraphView<'_>],
+    seed: u64,
+) -> (P::Answer, Vec<usize>) {
+    let params = CoresetParams::new(n, pieces.len().max(1));
+    let summaries = build_all(problem, pieces, &params, seed);
+    let sizes = summaries
+        .iter()
+        .map(|s| {
+            let (edges, vertices) = P::message_size(s);
+            edges + vertices
+        })
+        .collect();
+    (problem.compose_owned(&summaries), sizes)
 }
 
 #[cfg(test)]

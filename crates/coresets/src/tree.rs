@@ -31,16 +31,12 @@
 //! two shapes, across thread counts, and under scheduler fuzzing — pinned by
 //! `tests/determinism.rs` and the E16 in-binary asserts.
 
-use crate::compose::{compose_vertex_cover, solve_composed_matching};
 use crate::matching_coreset::MatchingCoresetBuilder;
 use crate::params::CoresetParams;
 use crate::streams::node_rng;
 use crate::vc_coreset::{VcCoresetBuilder, VcCoresetOutput};
 use graph::{Graph, GraphView};
-use matching::matching::Matching;
-use matching::maximum::MaximumMatchingAlgorithm;
 use rayon::prelude::*;
-use vertexcover::VertexCover;
 
 /// The canonical shape of a composition tree over `leaves` items with the
 /// given fan-in: per-level widths plus consecutive grouping. Both the
@@ -140,6 +136,17 @@ impl TreePlan {
             }
         }
         (pending, emitted)
+    }
+
+    /// Whether `(pushed, pending)` is a frontier a [`TreeFolder`] over this
+    /// plan can hold: at most `leaves` pushed, and per-level pending counts
+    /// equal to [`TreePlan::state_after`]`(pushed)`.
+    pub fn fits<T>(&self, pushed: usize, pending: &[Vec<T>]) -> bool {
+        if pushed > self.leaves() {
+            return false;
+        }
+        let (lens, _) = self.state_after(pushed);
+        pending.len() == lens.len() && pending.iter().zip(lens).all(|(p, len)| p.len() == len)
     }
 }
 
@@ -243,9 +250,8 @@ impl<T, F: Fn(usize, usize, Vec<T>) -> T> TreeFolder<T, F> {
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot's shape disagrees with
-    /// [`TreePlan::state_after`]`(pushed)` — callers restoring untrusted
-    /// snapshots must validate the lengths first.
+    /// Panics unless the snapshot [`TreePlan::fits`] the plan — callers
+    /// restoring untrusted snapshots check that first.
     pub fn resume(
         leaves: usize,
         fan_in: usize,
@@ -254,22 +260,11 @@ impl<T, F: Fn(usize, usize, Vec<T>) -> T> TreeFolder<T, F> {
         pending: Vec<Vec<T>>,
     ) -> Self {
         let plan = TreePlan::new(leaves, fan_in);
-        let (lens, emitted) = plan.state_after(pushed);
-        assert_eq!(
-            pending.len(),
-            lens.len(),
-            "snapshot has {} levels, plan expects {}",
-            pending.len(),
-            lens.len()
+        assert!(
+            plan.fits(pushed, &pending),
+            "snapshot holds a frontier the plan cannot reach after {pushed} leaves"
         );
-        for (level, (have, want)) in pending.iter().zip(&lens).enumerate() {
-            assert_eq!(
-                have.len(),
-                *want,
-                "snapshot level {level} holds {} items, plan expects {want}",
-                have.len()
-            );
-        }
+        let (_, emitted) = plan.state_after(pushed);
         TreeFolder {
             plan,
             pending,
@@ -385,49 +380,17 @@ pub fn merge_vc_coresets<B: VcCoresetBuilder + ?Sized>(
     }
 }
 
-/// Tree-composes matching coresets and solves the roots: merge/re-coreset
-/// over `⌈log_f k⌉` levels ([`reduce_levels`], merges on the work-stealing
-/// pool), then one flat [`solve_composed_matching`] over the `≤ fan_in`
-/// roots. With `k ≤ fan_in` this degenerates to the flat composition.
-pub fn tree_solve_matching<B: MatchingCoresetBuilder + ?Sized>(
-    n: usize,
-    coresets: Vec<Graph>,
-    builder: &B,
-    params: &CoresetParams,
-    seed: u64,
-    fan_in: usize,
-    algorithm: MaximumMatchingAlgorithm,
-) -> Matching {
-    let roots = reduce_levels(coresets, fan_in, &|level, node, group: Vec<Graph>| {
-        merge_matching_coresets(n, params, builder, seed, level, node, &group)
-    });
-    solve_composed_matching(&roots, algorithm)
-}
-
-/// Tree-composes vertex-cover coresets: merge/re-coreset over `⌈log_f k⌉`
-/// levels, then one flat [`compose_vertex_cover`] over the `≤ fan_in` roots.
-pub fn tree_compose_vertex_cover<B: VcCoresetBuilder + ?Sized>(
-    n: usize,
-    outputs: Vec<VcCoresetOutput>,
-    builder: &B,
-    params: &CoresetParams,
-    seed: u64,
-    fan_in: usize,
-) -> VertexCover {
-    let roots = reduce_levels(outputs, fan_in, &|level, node, group| {
-        merge_vc_coresets(n, params, builder, seed, level, node, group)
-    });
-    compose_vertex_cover(&roots)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compose::solve_composed_matching;
     use crate::matching_coreset::MaximumMatchingCoreset;
+    use crate::problem::{tree_compose, CoverProblem, MatchingProblem};
     use crate::streams::machine_rng;
     use crate::vc_coreset::PeelingVcCoreset;
     use graph::gen::er::gnp;
     use graph::PartitionedGraph;
+    use matching::maximum::MaximumMatchingAlgorithm;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -567,14 +530,13 @@ mod tests {
         for seed in 0..4 {
             let (g, coresets, params) = protocol_coresets(seed, 400, 0.02, 9);
             let best = coresets.iter().map(Graph::m).max().unwrap();
-            let m = tree_solve_matching(
+            let m = tree_compose(
+                &MatchingProblem(&MaximumMatchingCoreset::new()),
                 g.n(),
-                coresets,
-                &MaximumMatchingCoreset::new(),
                 &params,
                 seed,
                 2,
-                MaximumMatchingAlgorithm::Auto,
+                coresets,
             );
             assert!(m.is_valid_for(&g));
             assert!(
@@ -589,14 +551,13 @@ mod tests {
     fn tree_with_k_at_most_fan_in_equals_flat_composition() {
         let (_, coresets, params) = protocol_coresets(11, 300, 0.03, 3);
         let flat = solve_composed_matching(&coresets, MaximumMatchingAlgorithm::Auto);
-        let tree = tree_solve_matching(
+        let tree = tree_compose(
+            &MatchingProblem(&MaximumMatchingCoreset::new()),
             300,
-            coresets,
-            &MaximumMatchingCoreset::new(),
             &params,
             11,
             4,
-            MaximumMatchingAlgorithm::Auto,
+            coresets,
         );
         assert_eq!(flat.edges(), tree.edges());
     }
@@ -616,13 +577,13 @@ mod tests {
                     PeelingVcCoreset::new().build(*piece, &params, i, &mut machine_rng(seed, i))
                 })
                 .collect();
-            let cover = tree_compose_vertex_cover(
+            let cover = tree_compose(
+                &CoverProblem(&PeelingVcCoreset::new()),
                 g.n(),
-                outputs,
-                &PeelingVcCoreset::new(),
                 &params,
                 seed,
                 2,
+                outputs,
             );
             assert!(cover.covers(&g), "seed {seed}");
         }

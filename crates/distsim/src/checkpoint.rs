@@ -25,7 +25,9 @@
 //! the previous checkpoint intact. Loads are *lenient by design*: a missing,
 //! truncated, checksum-corrupt, or parameter-mismatched file yields `None`
 //! and the run simply starts fresh — a bad checkpoint must never be able to
-//! wedge a protocol.
+//! wedge a protocol. The runner applies the same rule to a checkpoint that
+//! loads but whose frontier its composition plan cannot reach
+//! ([`coresets::TreePlan::fits`]).
 //!
 //! # Save cost
 //!

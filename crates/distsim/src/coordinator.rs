@@ -35,10 +35,16 @@
 //!
 //! The coordinator's own composition step is parallel where its sub-solves
 //! are independent: the warm-start screen over the received coresets and the
-//! per-residual-slice statistics feeding the composed 2-approximation fan
-//! out on the same work-stealing pool and reduce deterministically (see
+//! per-machine vertex extent that sizes the composed 2-approximation fan out
+//! on the same work-stealing pool and reduce deterministically (see
 //! `coresets::compose`), so composition answers are also bit-identical at
 //! every thread count.
+//!
+//! Both runners here are written once, generic over
+//! [`coresets::CoresetProblem`]; the per-problem `run_*` methods are thin
+//! wrappers that pick the [`MatchingProblem`] or [`CoverProblem`] adapter.
+//! A plain run is the fault loop under an unarmed [`FaultPlan`], and flat
+//! composition is the degenerate tree whose fan-in covers all `k` leaves.
 
 use crate::checkpoint::{
     load_checkpoint, save_checkpoint_view, CheckpointItem, CheckpointKey, CheckpointView,
@@ -50,19 +56,15 @@ use crate::faults::{
     MachineOutcome, RetryPolicy,
 };
 use coresets::matching_coreset::MatchingCoresetBuilder;
-use coresets::streams::{machine_jobs, machine_rng};
-use coresets::tree::{merge_matching_coresets, merge_vc_coresets, TreeFolder};
-use coresets::vc_coreset::{VcCoresetBuilder, VcCoresetOutput};
-use coresets::{
-    compose_vertex_cover, solve_composed_matching, tree_compose_vertex_cover, tree_solve_matching,
-    CoresetParams,
-};
+use coresets::streams::machine_rng;
+use coresets::tree::{TreeFolder, TreePlan};
+use coresets::vc_coreset::VcCoresetBuilder;
+use coresets::{tree_compose, CoresetParams, CoresetProblem, CoverProblem, MatchingProblem};
 use graph::arena_file::{ArenaFile, SegmentLoader, SegmentRetryPolicy};
 use graph::metrics::ResidentCharge;
 use graph::partition::{PartitionStrategy, PartitionedGraph};
-use graph::{Graph, GraphError, GraphView};
+use graph::{Graph, GraphError};
 use matching::matching::Matching;
-use matching::maximum::MaximumMatchingAlgorithm;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
@@ -84,6 +86,18 @@ pub enum ComposeMode {
         /// Coresets merged per tree node; must be at least 2.
         fan_in: usize,
     },
+}
+
+impl ComposeMode {
+    /// The composition tree's fan-in over `k` leaves. Flat composition is the
+    /// degenerate tree whose root set is all `k` coresets: a fan-in wide
+    /// enough that no merge round fires.
+    fn fan_in(self, k: usize) -> usize {
+        match self {
+            ComposeMode::Tree { fan_in } => fan_in,
+            ComposeMode::Flat => k.max(2),
+        }
+    }
 }
 
 /// Configuration of one simultaneous-protocol run.
@@ -138,41 +152,7 @@ impl CoordinatorProtocol {
         builder: &B,
         seed: u64,
     ) -> Result<SimultaneousRun<Matching>, GraphError> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        // One edge permutation into the arena; each machine computes on a
-        // zero-copy view of its slice.
-        let partition = PartitionedGraph::new(g, self.k, self.strategy, &mut rng)?;
-        let params = CoresetParams::new(g.n(), self.k);
-        let model = CostModel::for_n(g.n());
-
-        // Machine RNG streams are derived from (seed, machine) before the
-        // fan-out; the parallel stage consumes only machine-local state.
-        let coresets: Vec<Graph> = machine_jobs(&partition.views(), seed)
-            .into_par_iter()
-            .map(|(i, piece, mut rng)| builder.build(*piece, &params, i, &mut rng))
-            .collect();
-
-        let mut communication = CommunicationCost::default();
-        for c in &coresets {
-            communication.record_message(&model, c.m(), 0);
-        }
-        let answer = match self.compose {
-            ComposeMode::Flat => solve_composed_matching(&coresets, MaximumMatchingAlgorithm::Auto),
-            ComposeMode::Tree { fan_in } => tree_solve_matching(
-                g.n(),
-                coresets,
-                builder,
-                &params,
-                seed,
-                fan_in,
-                MaximumMatchingAlgorithm::Auto,
-            ),
-        };
-        Ok(SimultaneousRun {
-            answer,
-            communication,
-            piece_sizes: partition.piece_sizes(),
-        })
+        self.run_problem(g, &MatchingProblem(builder), seed)
     }
 
     /// Runs the vertex-cover protocol: each machine sends the coreset built by
@@ -185,31 +165,7 @@ impl CoordinatorProtocol {
         builder: &B,
         seed: u64,
     ) -> Result<SimultaneousRun<VertexCover>, GraphError> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let partition = PartitionedGraph::new(g, self.k, self.strategy, &mut rng)?;
-        let params = CoresetParams::new(g.n(), self.k);
-        let model = CostModel::for_n(g.n());
-
-        let outputs: Vec<VcCoresetOutput> = machine_jobs(&partition.views(), seed)
-            .into_par_iter()
-            .map(|(i, piece, mut rng)| builder.build(*piece, &params, i, &mut rng))
-            .collect();
-
-        let mut communication = CommunicationCost::default();
-        for o in &outputs {
-            communication.record_message(&model, o.residual.m(), o.fixed_vertices.len());
-        }
-        let answer = match self.compose {
-            ComposeMode::Flat => compose_vertex_cover(&outputs),
-            ComposeMode::Tree { fan_in } => {
-                tree_compose_vertex_cover(g.n(), outputs, builder, &params, seed, fan_in)
-            }
-        };
-        Ok(SimultaneousRun {
-            answer,
-            communication,
-            piece_sizes: partition.piece_sizes(),
-        })
+        self.run_problem(g, &CoverProblem(builder), seed)
     }
 
     /// Runs the matching protocol under a fault plan: machine failures are
@@ -226,77 +182,7 @@ impl CoordinatorProtocol {
         plan: &FaultPlan,
         retry: &RetryPolicy,
     ) -> Result<FaultyRun<Matching>, ProtocolError> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let partition = PartitionedGraph::new(g, self.k, self.strategy, &mut rng)?;
-        let params = CoresetParams::new(g.n(), self.k);
-        let model = CostModel::for_n(g.n());
-        let injector = FaultInjector::new(plan.clone());
-        let views = partition.views();
-
-        let jobs: Vec<(usize, _)> = views.iter().copied().enumerate().collect();
-        let outcomes: Vec<MachineOutcome<Graph>> = jobs
-            .into_par_iter()
-            .map(|(i, piece)| {
-                run_machine_with_faults(&injector, retry, i, || {
-                    builder.build(piece, &params, i, &mut machine_rng(seed, i))
-                })
-            })
-            .collect();
-
-        let mut report = FaultReport::new(plan.fault_seed);
-        let mut communication = CommunicationCost::default();
-        let mut coresets: Vec<Graph> = Vec::with_capacity(self.k);
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            report.absorb(i, &outcome);
-            match outcome.summary {
-                Some(coreset) => {
-                    communication.record_message(&model, coreset.m(), 0);
-                    coresets.push(coreset);
-                }
-                // Empty placeholder: keeps the composition tree's shape and
-                // its (level, node) RNG streams identical to a fault-free
-                // run, while contributing no edges.
-                None => coresets.push(Graph::empty(g.n())),
-            }
-        }
-        self.check_losses(&report, plan)?;
-
-        let solve = |cs: Vec<Graph>| match self.compose {
-            ComposeMode::Flat => solve_composed_matching(&cs, MaximumMatchingAlgorithm::Auto),
-            ComposeMode::Tree { fan_in } => tree_solve_matching(
-                g.n(),
-                cs,
-                builder,
-                &params,
-                seed,
-                fan_in,
-                MaximumMatchingAlgorithm::Auto,
-            ),
-        };
-        // The degraded baseline is cheap to recover in-memory: lost machines
-        // are deterministic replays, so rebuild them and compose everything.
-        let baseline = if report.degraded {
-            let mut full = coresets.clone();
-            for &i in &report.lost_machines {
-                full[i] = builder.build(views[i], &params, i, &mut machine_rng(seed, i));
-            }
-            Some(solve(full).len())
-        } else {
-            None
-        };
-        let answer = solve(coresets);
-        report.achieved_vs_fault_free = Some(match baseline {
-            None | Some(0) => 1.0,
-            Some(b) => answer.len() as f64 / b as f64,
-        });
-        Ok(FaultyRun {
-            run: SimultaneousRun {
-                answer,
-                communication,
-                piece_sizes: partition.piece_sizes(),
-            },
-            faults: report,
-        })
+        self.run_problem_faulty(g, &MatchingProblem(builder), seed, plan, retry)
     }
 
     /// Runs the vertex-cover protocol under a fault plan (same retry-by-
@@ -310,87 +196,125 @@ impl CoordinatorProtocol {
         plan: &FaultPlan,
         retry: &RetryPolicy,
     ) -> Result<FaultyRun<VertexCover>, ProtocolError> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let partition = PartitionedGraph::new(g, self.k, self.strategy, &mut rng)?;
-        let params = CoresetParams::new(g.n(), self.k);
-        let model = CostModel::for_n(g.n());
-        let injector = FaultInjector::new(plan.clone());
-        let views = partition.views();
+        self.run_problem_faulty(g, &CoverProblem(builder), seed, plan, retry)
+    }
 
-        let jobs: Vec<(usize, _)> = views.iter().copied().enumerate().collect();
-        let outcomes: Vec<MachineOutcome<VcCoresetOutput>> = jobs
+    /// Runs `problem`'s protocol fault-free: the fault loop under an unarmed
+    /// plan, where every machine delivers on its first attempt.
+    pub fn run_problem<P: CoresetProblem>(
+        &self,
+        g: &Graph,
+        problem: &P,
+        seed: u64,
+    ) -> Result<SimultaneousRun<P::Answer>, GraphError> {
+        let unarmed = FaultPlan::default();
+        self.run_under(g, problem, seed, &unarmed, &RetryPolicy::default(), |_| {
+            Ok(())
+        })
+        .map(|r| r.run)
+    }
+
+    /// Runs `problem`'s protocol under a fault plan (the semantics of
+    /// [`CoordinatorProtocol::run_matching_faulty`]).
+    pub fn run_problem_faulty<P: CoresetProblem>(
+        &self,
+        g: &Graph,
+        problem: &P,
+        seed: u64,
+        plan: &FaultPlan,
+        retry: &RetryPolicy,
+    ) -> Result<FaultyRun<P::Answer>, ProtocolError> {
+        self.run_under(g, problem, seed, plan, retry, |faults| {
+            check_losses(faults, plan, self.k)
+        })
+    }
+
+    /// The in-memory protocol: partition, build every machine's summary
+    /// under `plan`, account the delivered messages, apply `check` to the
+    /// losses, then compose through the tree.
+    fn run_under<P: CoresetProblem, E: From<GraphError>>(
+        &self,
+        g: &Graph,
+        problem: &P,
+        seed: u64,
+        plan: &FaultPlan,
+        retry: &RetryPolicy,
+        check: impl FnOnce(&FaultReport) -> Result<(), E>,
+    ) -> Result<FaultyRun<P::Answer>, E> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        // One edge permutation into the arena; each machine computes on a
+        // zero-copy view of its slice.
+        let partition = PartitionedGraph::new(g, self.k, self.strategy, &mut rng)?;
+        let views = partition.views();
+        let n = g.n();
+        let params = CoresetParams::new(n, self.k);
+        let model = CostModel::for_n(n);
+        let injector = FaultInjector::new(plan.clone());
+        // A machine's build is a pure function of (seed, i): retries and the
+        // degraded baseline below replay the same stream.
+        let build = |i: usize| problem.build(views[i], &params, i, &mut machine_rng(seed, i));
+        let outcomes: Vec<MachineOutcome<P::Summary>> = (0..self.k)
             .into_par_iter()
-            .map(|(i, piece)| {
-                run_machine_with_faults(&injector, retry, i, || {
-                    builder.build(piece, &params, i, &mut machine_rng(seed, i))
-                })
-            })
+            .map(|i| run_machine_with_faults(&injector, retry, i, || build(i)))
             .collect();
 
-        let mut report = FaultReport::new(plan.fault_seed);
+        let mut faults = FaultReport::new(plan.fault_seed);
         let mut communication = CommunicationCost::default();
-        let mut outputs: Vec<VcCoresetOutput> = Vec::with_capacity(self.k);
+        let mut summaries = Vec::with_capacity(self.k);
         for (i, outcome) in outcomes.into_iter().enumerate() {
-            report.absorb(i, &outcome);
-            match outcome.summary {
-                Some(output) => {
-                    communication.record_message(
-                        &model,
-                        output.residual.m(),
-                        output.fixed_vertices.len(),
-                    );
-                    outputs.push(output);
+            faults.absorb(i, &outcome);
+            summaries.push(match outcome.summary {
+                Some(summary) => {
+                    let (edges, vertices) = P::message_size(&summary);
+                    communication.record_message(&model, edges, vertices);
+                    summary
                 }
-                None => outputs.push(VcCoresetOutput {
-                    fixed_vertices: Vec::new(),
-                    residual: Graph::empty(g.n()),
-                }),
-            }
+                // Empty placeholder: keeps the composition tree's shape and
+                // its (level, node) RNG streams identical to a fault-free
+                // run, while contributing nothing.
+                None => P::empty(n),
+            });
         }
-        self.check_losses(&report, plan)?;
+        check(&faults)?;
 
-        let solve = |os: Vec<VcCoresetOutput>| match self.compose {
-            ComposeMode::Flat => compose_vertex_cover(&os),
-            ComposeMode::Tree { fan_in } => {
-                tree_compose_vertex_cover(g.n(), os, builder, &params, seed, fan_in)
+        let fan_in = self.compose.fan_in(self.k);
+        let solve = |leaves| tree_compose(problem, n, &params, seed, fan_in, leaves);
+        // The degraded baseline is cheap to recover in-memory: lost machines
+        // are deterministic replays, so rebuild them and compose everything.
+        let baseline = faults.degraded.then(|| {
+            let mut full = summaries.clone();
+            for &i in &faults.lost_machines {
+                full[i] = build(i);
             }
-        };
-        let baseline = if report.degraded {
-            let mut full = outputs.clone();
-            for &i in &report.lost_machines {
-                full[i] = builder.build(views[i], &params, i, &mut machine_rng(seed, i));
-            }
-            Some(solve(full).len())
-        } else {
-            None
-        };
-        let answer = solve(outputs);
-        report.achieved_vs_fault_free = Some(match baseline {
-            None | Some(0) => 1.0,
-            Some(b) => answer.len() as f64 / b as f64,
+            P::answer_size(&solve(full))
         });
+        let answer = solve(summaries);
+        faults.achieved_vs_fault_free =
+            Some(baseline.map_or(1.0, |b| size_ratio(P::answer_size(&answer), b)));
         Ok(FaultyRun {
             run: SimultaneousRun {
                 answer,
                 communication,
                 piece_sizes: partition.piece_sizes(),
             },
-            faults: report,
+            faults,
         })
     }
+}
 
-    /// Applies the plan's loss policy to the run's losses.
-    fn check_losses(&self, report: &FaultReport, plan: &FaultPlan) -> Result<(), ProtocolError> {
-        if report.lost_machines.len() == self.k {
-            return Err(ProtocolError::NoSurvivors);
-        }
-        if report.degraded && plan.on_loss == DegradedComposition::Fail {
-            return Err(ProtocolError::MachinesLost {
-                machines: report.lost_machines.clone(),
-            });
-        }
-        Ok(())
+/// The loss policy shared by every runner: losing all `k` machines is
+/// always [`ProtocolError::NoSurvivors`]; losing some is
+/// [`ProtocolError::MachinesLost`] under [`DegradedComposition::Fail`].
+fn check_losses(faults: &FaultReport, plan: &FaultPlan, k: usize) -> Result<(), ProtocolError> {
+    if faults.lost_machines.len() == k {
+        return Err(ProtocolError::NoSurvivors);
     }
+    if faults.degraded && plan.on_loss == DegradedComposition::Fail {
+        return Err(ProtocolError::MachinesLost {
+            machines: faults.lost_machines.clone(),
+        });
+    }
+    Ok(())
 }
 
 /// Out-of-core protocol runner: the partition lives in an on-disk
@@ -479,7 +403,9 @@ impl ArenaProtocol {
     ///   after every completed leaf and a rerun resumes after the last one;
     ///   the checkpoint is deleted once the run completes. A resumed run's
     ///   answer is bit-identical to an uninterrupted one (`tests/faults.rs`
-    ///   kills at every leaf to pin this).
+    ///   kills at every leaf to pin this). A checkpoint that fails to load,
+    ///   or whose frontier does not fit the run's [`TreePlan`], is ignored
+    ///   and the run starts fresh.
     pub fn run_matching_resumable<B: MatchingCoresetBuilder>(
         &self,
         arena: &ArenaFile,
@@ -487,37 +413,7 @@ impl ArenaProtocol {
         seed: u64,
         opts: &FaultRunOptions,
     ) -> Result<FaultyRun<Matching>, ProtocolError> {
-        let n = arena.n();
-        let params = CoresetParams::new(n, arena.k());
-        let Leaves {
-            roots,
-            charge,
-            communication,
-            mut faults,
-        } = self.fold_leaves(
-            arena,
-            seed,
-            opts,
-            |piece, i| builder.build(piece, &params, i, &mut machine_rng(seed, i)),
-            |level, node, group: Vec<Graph>| {
-                merge_matching_coresets(n, &params, builder, seed, level, node, &group)
-            },
-        )?;
-        let root_edges: usize = roots.iter().map(Graph::m).sum();
-        // The final flat solve's compaction scratch is one more union pass.
-        charge.acquire(root_edges);
-        let answer = solve_composed_matching(&roots, MaximumMatchingAlgorithm::Auto);
-        charge.release(2 * root_edges);
-        faults.achieved_vs_fault_free = if faults.degraded {
-            // The fault-free baseline needs every segment intact; a genuinely
-            // corrupt arena has no computable baseline.
-            self.run_matching(arena, builder, seed)
-                .ok()
-                .map(|clean| size_ratio(answer.len(), clean.answer.len()))
-        } else {
-            Some(1.0)
-        };
-        Ok(completed(arena, opts, answer, communication, faults))
+        self.run_problem(arena, &MatchingProblem(builder), seed, opts)
     }
 
     /// Runs the vertex-cover protocol from an arena under a fault plan, with
@@ -530,59 +426,80 @@ impl ArenaProtocol {
         seed: u64,
         opts: &FaultRunOptions,
     ) -> Result<FaultyRun<VertexCover>, ProtocolError> {
-        let n = arena.n();
-        let params = CoresetParams::new(n, arena.k());
+        self.run_problem(arena, &CoverProblem(builder), seed, opts)
+    }
+
+    /// Runs `problem`'s protocol from an arena under `opts` (the semantics of
+    /// [`ArenaProtocol::run_matching_resumable`]): fold every leaf, then
+    /// solve the tree's roots.
+    pub fn run_problem<P>(
+        &self,
+        arena: &ArenaFile,
+        problem: &P,
+        seed: u64,
+        opts: &FaultRunOptions,
+    ) -> Result<FaultyRun<P::Answer>, ProtocolError>
+    where
+        P: CoresetProblem,
+        P::Summary: CheckpointItem,
+    {
         let Leaves {
             roots,
             charge,
             communication,
             mut faults,
-        } = self.fold_leaves(
-            arena,
-            seed,
-            opts,
-            |piece, i| builder.build(piece, &params, i, &mut machine_rng(seed, i)),
-            |level, node, group: Vec<VcCoresetOutput>| {
-                merge_vc_coresets(n, &params, builder, seed, level, node, group)
-            },
-        )?;
-        let root_edges: usize = roots.iter().map(|o| o.residual.m()).sum();
-        let answer = compose_vertex_cover(&roots);
-        charge.release(root_edges);
+        } = self.fold_leaves(arena, problem, seed, opts)?;
+        let root_edges: usize = roots.iter().map(|r| P::message_size(r).0).sum();
+        let scratch = P::SOLVE_SCRATCH_PASSES * root_edges;
+        charge.acquire(scratch);
+        let answer = problem.compose_owned(&roots);
+        charge.release(root_edges + scratch);
         faults.achieved_vs_fault_free = if faults.degraded {
-            self.run_vertex_cover(arena, builder, seed)
+            // The fault-free baseline needs every segment intact; a genuinely
+            // corrupt arena has no computable baseline.
+            self.run_problem(arena, problem, seed, &FaultRunOptions::default())
                 .ok()
-                .map(|clean| size_ratio(answer.len(), clean.answer.len()))
+                .map(|clean| size_ratio(P::answer_size(&answer), P::answer_size(&clean.run.answer)))
         } else {
             Some(1.0)
         };
-        Ok(completed(arena, opts, answer, communication, faults))
+        // The run is complete: its checkpoint is stale.
+        if let Some(path) = opts.checkpoint.as_deref() {
+            let _ = std::fs::remove_file(path);
+        }
+        Ok(FaultyRun {
+            run: SimultaneousRun {
+                answer,
+                communication,
+                piece_sizes: arena.piece_sizes(),
+            },
+            faults,
+        })
     }
 
-    /// The leaf loop shared by every arena run: stream each segment under
-    /// `opts`' fault plan, `build` its coreset, fold it into the composition
-    /// tree through `merge`, and checkpoint after every leaf. Returns the
-    /// tree's roots, still charged to the resident-edge gauge through the
-    /// returned guard; every early return drops the guard and releases them.
-    fn fold_leaves<T: ArenaSummary>(
+    /// The leaf loop: stream each segment under `opts`' fault plan, build its
+    /// summary, fold it into the composition tree, and checkpoint after
+    /// every leaf. Returns the tree's roots, still charged to the
+    /// resident-edge gauge through the returned guard; every early return
+    /// drops the guard and releases them.
+    fn fold_leaves<P>(
         &self,
         arena: &ArenaFile,
+        problem: &P,
         seed: u64,
         opts: &FaultRunOptions,
-        build: impl Fn(GraphView<'_>, usize) -> T,
-        merge: impl Fn(usize, usize, Vec<T>) -> T,
-    ) -> Result<Leaves<T>, ProtocolError> {
+    ) -> Result<Leaves<P::Summary>, ProtocolError>
+    where
+        P: CoresetProblem,
+        P::Summary: CheckpointItem,
+    {
         let (n, k) = (arena.n(), arena.k());
+        let params = CoresetParams::new(n, k);
         let model = CostModel::for_n(n);
-        let fan_in = match self.compose {
-            ComposeMode::Tree { fan_in } => fan_in,
-            // Flat composition is the degenerate tree whose "root set" is all
-            // k coresets: a fan-in wide enough that no merge round fires.
-            ComposeMode::Flat => k.max(2),
-        };
+        let fan_in = self.compose.fan_in(k);
         let injector = FaultInjector::new(opts.plan.clone());
         let key = CheckpointKey {
-            problem: T::PROBLEM,
+            problem: <P::Summary as CheckpointItem>::PROBLEM,
             n: n as u64,
             k: k as u64,
             m: arena.m() as u64,
@@ -590,23 +507,27 @@ impl ArenaProtocol {
             fan_in: fan_in as u64,
             fault_seed: opts.plan.fault_seed,
         };
+        let edges = |s: &P::Summary| P::message_size(s).0;
         let charge = ResidentCharge::default();
-        let charged_merge = |level: usize, node: usize, group: Vec<T>| {
-            let union_edges: usize = group.iter().map(T::edge_count).sum();
+        let charged_merge = |level: usize, node: usize, group: Vec<P::Summary>| {
+            let union_edges: usize = group.iter().map(edges).sum();
             charge.acquire(union_edges);
-            let merged = merge(level, node, group);
+            let merged = problem.merge(n, &params, seed, level, node, group);
             charge.release(union_edges);
-            charge.acquire(merged.edge_count());
+            charge.acquire(edges(&merged));
             charge.release(union_edges);
             merged
         };
 
         let mut communication = CommunicationCost::default();
         let mut faults = FaultReport::new(opts.plan.fault_seed);
+        // A frontier the plan cannot reach is as damaged as a failed CRC.
+        let plan = TreePlan::new(k, fan_in);
         let resumed = opts
             .checkpoint
             .as_deref()
-            .and_then(|p| load_checkpoint::<T>(p, &key));
+            .and_then(|p| load_checkpoint::<P::Summary>(p, &key))
+            .filter(|ck| plan.fits(ck.pushed, &ck.pending));
         let (mut folder, start) = match resumed {
             Some(ck) => {
                 communication = ck.communication;
@@ -616,7 +537,7 @@ impl ArenaProtocol {
                 faults.ticks = ck.ticks;
                 faults.degraded = !ck.lost_machines.is_empty();
                 faults.lost_machines = ck.lost_machines;
-                charge.acquire(ck.pending.iter().flatten().map(T::edge_count).sum());
+                charge.acquire(ck.pending.iter().flatten().map(edges).sum());
                 (
                     TreeFolder::resume(k, fan_in, charged_merge, ck.pushed, ck.pending),
                     ck.pushed,
@@ -632,18 +553,15 @@ impl ArenaProtocol {
         });
         let (mut seg_injected, mut seg_retried) = (0u64, 0u64);
         for i in start..k {
-            let outcome: MachineOutcome<T> = match loader.load(i) {
-                Ok(piece) => run_machine_with_faults(&injector, &opts.retry, i, || build(piece, i)),
+            let outcome: MachineOutcome<P::Summary> = match loader.load(i) {
+                Ok(piece) => run_machine_with_faults(&injector, &opts.retry, i, || {
+                    problem.build(piece, &params, i, &mut machine_rng(seed, i))
+                }),
                 Err(source) => {
                     if !opts.plan.is_armed() {
                         return Err(ProtocolError::Segment { machine: i, source });
                     }
-                    MachineOutcome {
-                        summary: None,
-                        injected: 0,
-                        retried: 0,
-                        ticks: 0,
-                    }
+                    MachineOutcome::lost()
                 }
             };
             // Fold the loader's per-segment injection/retry deltas into the
@@ -666,17 +584,14 @@ impl ArenaProtocol {
             faults.absorb(i, &outcome);
             match outcome.summary {
                 Some(summary) => {
-                    communication.record_message(
-                        &model,
-                        summary.edge_count(),
-                        summary.vertex_count(),
-                    );
-                    charge.acquire(summary.edge_count());
+                    let (edges, vertices) = P::message_size(&summary);
+                    communication.record_message(&model, edges, vertices);
+                    charge.acquire(edges);
                     folder.push(summary);
                 }
                 // Empty placeholder: keeps the tree's shape and its
                 // (level, node) RNG streams identical to a fault-free run.
-                None => folder.push(T::empty(n)),
+                None => folder.push(P::empty(n)),
             }
             if let Some(path) = opts.checkpoint.as_deref() {
                 let state =
@@ -690,14 +605,7 @@ impl ArenaProtocol {
             }
         }
         loader.release();
-        if faults.lost_machines.len() == k {
-            return Err(ProtocolError::NoSurvivors);
-        }
-        if faults.degraded && opts.plan.on_loss == DegradedComposition::Fail {
-            return Err(ProtocolError::MachinesLost {
-                machines: faults.lost_machines.clone(),
-            });
-        }
+        check_losses(&faults, &opts.plan, k)?;
         let roots = folder.finish();
         Ok(Leaves {
             roots,
@@ -705,48 +613,6 @@ impl ArenaProtocol {
             communication,
             faults,
         })
-    }
-}
-
-/// A coreset type the arena runner streams, charges and checkpoints.
-trait ArenaSummary: CheckpointItem {
-    /// Edges the summary holds: charged to the resident gauge and sent in
-    /// the machine's message.
-    fn edge_count(&self) -> usize;
-    /// Vertices sent alongside the edges.
-    fn vertex_count(&self) -> usize;
-    /// The placeholder composed in place of a lost machine's summary.
-    fn empty(n: usize) -> Self;
-}
-
-impl ArenaSummary for Graph {
-    fn edge_count(&self) -> usize {
-        self.m()
-    }
-
-    fn vertex_count(&self) -> usize {
-        0
-    }
-
-    fn empty(n: usize) -> Self {
-        Graph::empty(n)
-    }
-}
-
-impl ArenaSummary for VcCoresetOutput {
-    fn edge_count(&self) -> usize {
-        self.residual.m()
-    }
-
-    fn vertex_count(&self) -> usize {
-        self.fixed_vertices.len()
-    }
-
-    fn empty(n: usize) -> Self {
-        VcCoresetOutput {
-            fixed_vertices: Vec::new(),
-            residual: Graph::empty(n),
-        }
     }
 }
 
@@ -765,27 +631,6 @@ fn size_ratio(achieved: usize, baseline: usize) -> f64 {
     match baseline {
         0 => 1.0,
         b => achieved as f64 / b as f64,
-    }
-}
-
-/// Wraps a finished arena run and deletes its (now stale) checkpoint.
-fn completed<T>(
-    arena: &ArenaFile,
-    opts: &FaultRunOptions,
-    answer: T,
-    communication: CommunicationCost,
-    faults: FaultReport,
-) -> FaultyRun<T> {
-    if let Some(path) = opts.checkpoint.as_deref() {
-        let _ = std::fs::remove_file(path);
-    }
-    FaultyRun {
-        run: SimultaneousRun {
-            answer,
-            communication,
-            piece_sizes: arena.piece_sizes(),
-        },
-        faults,
     }
 }
 
@@ -830,7 +675,7 @@ pub struct FaultyRun<T> {
 mod tests {
     use super::*;
     use coresets::matching_coreset::MaximumMatchingCoreset;
-    use coresets::vc_coreset::PeelingVcCoreset;
+    use coresets::vc_coreset::{PeelingVcCoreset, VcCoresetOutput};
     use graph::gen::er::gnp;
     use graph::metrics;
     use matching::maximum::maximum_matching;
@@ -1041,29 +886,40 @@ mod tests {
         );
     }
 
+    /// An unarmed plan injects nothing: the faulty runner reproduces the
+    /// plain run for both problems, flat and tree.
     #[test]
     fn unarmed_faulty_run_matches_fault_free_run() {
         let g = gnp(300, 0.03, &mut rng(11));
-        let p = CoordinatorProtocol::random(5);
-        let clean = p
-            .run_matching(&g, &MaximumMatchingCoreset::new(), 17)
-            .unwrap();
-        let faulty = p
-            .run_matching_faulty(
-                &g,
-                &MaximumMatchingCoreset::new(),
-                17,
-                &FaultPlan::new(99),
-                &RetryPolicy::default(),
-            )
-            .unwrap();
-        assert_eq!(clean.answer.edges(), faulty.run.answer.edges());
-        assert_eq!(clean.communication, faulty.run.communication);
-        assert_eq!(faulty.faults.injected, 0);
-        assert_eq!(faulty.faults.retried, 0);
-        assert_eq!(faulty.faults.lost_machines, Vec::<usize>::new());
-        assert!(!faulty.faults.degraded);
-        assert_eq!(faulty.faults.achieved_vs_fault_free, Some(1.0));
+        let (mb, vb) = (MaximumMatchingCoreset::new(), PeelingVcCoreset::new());
+        let (plan, retry) = (FaultPlan::new(99), RetryPolicy::default());
+        let assert_untouched = |faults: &FaultReport| {
+            assert_eq!(faults.injected, 0);
+            assert_eq!(faults.retried, 0);
+            assert_eq!(faults.lost_machines, Vec::<usize>::new());
+            assert!(!faults.degraded);
+            assert_eq!(faults.achieved_vs_fault_free, Some(1.0));
+        };
+        for compose in [ComposeMode::Flat, ComposeMode::Tree { fan_in: 2 }] {
+            let p = CoordinatorProtocol::random(5).with_compose(compose);
+            let clean = p.run_matching(&g, &mb, 17).unwrap();
+            let faulty = p.run_matching_faulty(&g, &mb, 17, &plan, &retry).unwrap();
+            assert_eq!(
+                clean.answer.edges(),
+                faulty.run.answer.edges(),
+                "{compose:?}"
+            );
+            assert_eq!(clean.communication, faulty.run.communication);
+            assert_untouched(&faulty.faults);
+
+            let clean = p.run_vertex_cover(&g, &vb, 17).unwrap();
+            let faulty = p
+                .run_vertex_cover_faulty(&g, &vb, 17, &plan, &retry)
+                .unwrap();
+            assert_eq!(clean.answer, faulty.run.answer, "{compose:?}");
+            assert_eq!(clean.communication, faulty.run.communication);
+            assert_untouched(&faulty.faults);
+        }
     }
 
     #[test]
@@ -1372,6 +1228,72 @@ mod tests {
         let mut armed = FaultRunOptions::default();
         armed.plan.segment_io_prob = 1e-9;
         assert_eq!(run_both(&corrupt, &armed), (Ok(()), Ok(())));
+        std::fs::remove_file(path).unwrap();
+    }
+
+    /// A checkpoint with a valid CRC and a matching key, but a frontier the
+    /// plan cannot reach, is a fresh start rather than a panic: `pushed`
+    /// beyond `k`, or more pending levels than the plan has. Both problems.
+    #[test]
+    fn misshapen_checkpoint_starts_fresh() {
+        let _guard = arena_lock();
+        let g = gnp(320, 0.025, &mut rng(29));
+        let (k, fan_in, seed) = (6, 2, 61);
+        let (arena, path) = arena_of(&g, k, seed, "misshapen");
+        let ckpt = std::env::temp_dir().join(format!(
+            "rc_coord_ckpt_{}_misshapen.bin",
+            std::process::id()
+        ));
+        let key = |problem: u8| CheckpointKey {
+            problem,
+            n: g.n() as u64,
+            k: k as u64,
+            m: arena.m() as u64,
+            seed,
+            fan_in: fan_in as u64,
+            fault_seed: 0,
+        };
+        fn misshapen<T>(pushed: usize, levels: usize) -> crate::ArenaCheckpoint<T> {
+            crate::ArenaCheckpoint {
+                pushed,
+                pending: (0..levels).map(|_| Vec::new()).collect(),
+                communication: CommunicationCost::default(),
+                injected: 0,
+                retried: 0,
+                recovered: 0,
+                ticks: 0,
+                lost_machines: Vec::new(),
+            }
+        }
+        // k = 6 at fan-in 2 plans three levels (6 -> 3 -> 2).
+        let shapes = [(99, 3), (2, 4)];
+        let proto = ArenaProtocol::tree(fan_in);
+        let opts = FaultRunOptions {
+            checkpoint: Some(ckpt.clone()),
+            ..FaultRunOptions::default()
+        };
+        let (mb, vb) = (MaximumMatchingCoreset::new(), PeelingVcCoreset::new());
+        let clean_m = proto.run_matching(&arena, &mb, seed).unwrap();
+        let clean_c = proto.run_vertex_cover(&arena, &vb, seed).unwrap();
+        for (pushed, levels) in shapes {
+            let bad = misshapen::<Graph>(pushed, levels);
+            crate::checkpoint::save_checkpoint(&ckpt, &key(Graph::PROBLEM), &bad).unwrap();
+            let m = proto
+                .run_matching_resumable(&arena, &mb, seed, &opts)
+                .unwrap();
+            assert_eq!(m.run.answer.edges(), clean_m.answer.edges());
+            assert_eq!(m.run.communication, clean_m.communication);
+
+            let bad = misshapen::<VcCoresetOutput>(pushed, levels);
+            let vc_key = key(VcCoresetOutput::PROBLEM);
+            crate::checkpoint::save_checkpoint(&ckpt, &vc_key, &bad).unwrap();
+            let c = proto
+                .run_vertex_cover_resumable(&arena, &vb, seed, &opts)
+                .unwrap();
+            assert_eq!(c.run.answer, clean_c.answer);
+            assert_eq!(c.run.communication, clean_c.communication);
+        }
+        assert!(!ckpt.exists(), "completed runs remove their checkpoint");
         std::fs::remove_file(path).unwrap();
     }
 }

@@ -288,6 +288,16 @@ pub struct MachineOutcome<T> {
 }
 
 impl<T> MachineOutcome<T> {
+    /// A machine that delivered nothing, before any attempt is counted.
+    pub fn lost() -> Self {
+        MachineOutcome {
+            summary: None,
+            injected: 0,
+            retried: 0,
+            ticks: 0,
+        }
+    }
+
     /// True if the machine failed at least once but ultimately delivered.
     pub fn recovered(&self) -> bool {
         self.summary.is_some() && self.injected > 0
@@ -307,12 +317,7 @@ pub fn run_machine_with_faults<T>(
     machine: usize,
     mut build: impl FnMut() -> T,
 ) -> MachineOutcome<T> {
-    let mut out = MachineOutcome {
-        summary: None,
-        injected: 0,
-        retried: 0,
-        ticks: 0,
-    };
+    let mut out = MachineOutcome::lost();
     for attempt in 0..retry.max_attempts.max(1) {
         if attempt > 0 {
             out.retried += 1;

@@ -20,26 +20,25 @@
 //! vertex-cover peeling / composition runs on the bucket-queue
 //! `vertexcover::VcEngine` (experiment E14).
 //!
-//! Round 2's fan-out runs on the vendored rayon backend's **work-stealing
-//! chunk queue** (experiment E15): machines are handed to scoped workers a
-//! chunk at a time, so a machine holding a disproportionate share of the
-//! shuffled edges cannot serialize the round. Machine `M`'s composition also
-//! fans out its independent sub-solves (warm-start screening, residual-slice
-//! statistics) on the same pool; results reassemble in machine order, so
-//! simulated rounds stay bit-identical at every thread count.
+//! Round 2 *is* the coordinator protocol with machine `M` as the coordinator:
+//! the simulator runs [`CoordinatorProtocol::run_problem`] over the shuffled
+//! partition, so its answer and message words are exactly the
+//! coordinator's. Its fan-out runs on the vendored rayon backend's
+//! **work-stealing chunk queue** (experiment E15): machines are handed to
+//! scoped workers a chunk at a time, so a machine holding a disproportionate
+//! share of the shuffled edges cannot serialize the round. Machine `M`'s
+//! composition also fans out its independent sub-solves (warm-start
+//! screening, the per-machine vertex extent) on the same pool; results
+//! reassemble in machine order, so simulated rounds stay bit-identical at
+//! every thread count.
 
 use crate::comm::CostModel;
+use crate::coordinator::CoordinatorProtocol;
 use coresets::matching_coreset::MatchingCoresetBuilder;
-use coresets::streams::machine_jobs;
-use coresets::vc_coreset::{VcCoresetBuilder, VcCoresetOutput};
-use coresets::{compose_vertex_cover, solve_composed_matching, CoresetParams};
-use graph::partition::PartitionedGraph;
-use graph::{Graph, GraphError, GraphView};
+use coresets::vc_coreset::VcCoresetBuilder;
+use coresets::{CoresetProblem, CoverProblem, MatchingProblem};
+use graph::{Graph, GraphError};
 use matching::matching::Matching;
-use matching::maximum::MaximumMatchingAlgorithm;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use vertexcover::VertexCover;
 
@@ -120,16 +119,7 @@ impl MapReduceSimulator {
         builder: &B,
         seed: u64,
     ) -> Result<MapReduceOutcome<Matching>, GraphError> {
-        self.run_generic(g, seed, |pieces, params, machine_seed| {
-            // Per-machine RNG streams are fixed before the round-2 fan-out.
-            let coresets: Vec<Graph> = machine_jobs(pieces, machine_seed)
-                .into_par_iter()
-                .map(|(i, p, mut rng)| builder.build(*p, params, i, &mut rng))
-                .collect();
-            let coreset_words: Vec<u64> = coresets.iter().map(|c| 2 * c.m() as u64).collect();
-            let answer = solve_composed_matching(&coresets, MaximumMatchingAlgorithm::Auto);
-            (answer, coreset_words)
-        })
+        self.run_problem(g, &MatchingProblem(builder), seed)
     }
 
     /// Runs the two-round (or one-round) coreset algorithm for minimum vertex
@@ -140,66 +130,49 @@ impl MapReduceSimulator {
         builder: &B,
         seed: u64,
     ) -> Result<MapReduceOutcome<VertexCover>, GraphError> {
-        self.run_generic(g, seed, |pieces, params, machine_seed| {
-            let outputs: Vec<VcCoresetOutput> = machine_jobs(pieces, machine_seed)
-                .into_par_iter()
-                .map(|(i, p, mut rng)| builder.build(*p, params, i, &mut rng))
-                .collect();
-            let model = CostModel::for_n(params.n);
-            let coreset_words: Vec<u64> = outputs
-                .iter()
-                .map(|o| model.words(o.residual.m(), o.fixed_vertices.len()))
-                .collect();
-            let answer = compose_vertex_cover(&outputs);
-            (answer, coreset_words)
-        })
+        self.run_problem(g, &CoverProblem(builder), seed)
     }
 
-    fn run_generic<T>(
+    /// Runs the two-round (or one-round) coreset algorithm for `problem`.
+    pub fn run_problem<P: CoresetProblem>(
         &self,
         g: &Graph,
+        problem: &P,
         seed: u64,
-        solve: impl FnOnce(&[GraphView<'_>], &CoresetParams, u64) -> (T, Vec<u64>),
-    ) -> Result<MapReduceOutcome<T>, GraphError> {
-        let k = self.config.k;
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut rounds = Vec::new();
-
-        // Round 1 (shuffle): produce a random k-partition into the shared
-        // edge arena. The memory high water mark of the round is the largest
-        // piece any machine receives (each machine holds its share of the
-        // input plus what it receives; the received share dominates and is
-        // what we report).
-        let partition = PartitionedGraph::random(g, k, &mut rng)?;
-        let max_piece_words = partition
-            .piece_sizes()
+    ) -> Result<MapReduceOutcome<P::Answer>, GraphError> {
+        // Round 1 (shuffle) draws the random k-partition from `seed`; round 2
+        // builds the coresets locally (in parallel, each machine on its own
+        // pre-derived RNG stream), sends them to machine M and solves there.
+        let run = CoordinatorProtocol::random(self.config.k).run_problem(g, problem, seed)?;
+        let model = CostModel::for_n(g.n());
+        // The memory high water mark of the shuffle is the largest piece any
+        // machine receives (each machine holds its share of the input plus
+        // what it receives; the received share dominates and is what we
+        // report).
+        let max_piece_words = run
+            .piece_sizes
             .iter()
-            .map(|&m| 2 * m as u64)
+            .map(|&m| model.words(m, 0))
             .max()
             .unwrap_or(0);
+        let mut rounds = Vec::new();
         if !self.config.input_already_random {
             rounds.push(RoundStats {
                 description: "shuffle: random re-partitioning of the edges".into(),
                 max_words_per_machine: max_piece_words,
             });
         }
-
-        // Round 2: build coresets locally (in parallel, each machine on its
-        // own pre-derived RNG stream), send them to machine M, solve there.
-        let params = CoresetParams::new(g.n(), k);
-        let (answer, coreset_words) = solve(&partition.views(), &params, seed);
-        let central_words: u64 = coreset_words.iter().sum();
         rounds.push(RoundStats {
             description: "coresets: build locally, union and solve on the designated machine"
                 .into(),
-            max_words_per_machine: central_words.max(max_piece_words),
+            max_words_per_machine: run.communication.total_words().max(max_piece_words),
         });
 
         let within_memory_budget = rounds
             .iter()
             .all(|r| r.max_words_per_machine <= self.config.memory_words);
         Ok(MapReduceOutcome {
-            answer,
+            answer: run.answer,
             rounds,
             within_memory_budget,
         })
@@ -209,6 +182,7 @@ impl MapReduceSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coordinator::SimultaneousRun;
     use coresets::matching_coreset::MaximumMatchingCoreset;
     use coresets::vc_coreset::PeelingVcCoreset;
     use graph::gen::er::gnm;
@@ -297,5 +271,37 @@ mod tests {
         assert!(MapReduceSimulator::new(cfg)
             .run_matching(&g, &MaximumMatchingCoreset::new(), 0)
             .is_err());
+    }
+
+    /// Round 2 is the coordinator protocol with machine `M` as coordinator:
+    /// the same `(g, k, seed)` gives the coordinator's answer, and round 2's
+    /// high-water mark is the larger of the coordinator's total message
+    /// words and the largest piece (two words per edge).
+    #[test]
+    fn mapreduce_matches_the_coordinator() {
+        fn round2_words<T>(run: &SimultaneousRun<T>) -> u64 {
+            let largest = run.piece_sizes.iter().copied().max().unwrap_or(0);
+            run.communication.total_words().max(2 * largest as u64)
+        }
+        for (n, m, graph_seed, seed) in
+            [(900, 20_000, 1, 3), (400, 6_000, 2, 5), (300, 8_000, 4, 1)]
+        {
+            let g = gnm(n, m, &mut rng(graph_seed));
+            let cfg = MapReduceConfig::paper_defaults(n);
+            let sim = MapReduceSimulator::new(cfg);
+            let coordinator = CoordinatorProtocol::random(cfg.k);
+
+            let mb = MaximumMatchingCoreset::new();
+            let out = sim.run_matching(&g, &mb, seed).unwrap();
+            let run = coordinator.run_matching(&g, &mb, seed).unwrap();
+            assert_eq!(out.answer.edges(), run.answer.edges(), "n = {n}");
+            assert_eq!(out.rounds[1].max_words_per_machine, round2_words(&run));
+
+            let vb = PeelingVcCoreset::new();
+            let out = sim.run_vertex_cover(&g, &vb, seed).unwrap();
+            let run = coordinator.run_vertex_cover(&g, &vb, seed).unwrap();
+            assert_eq!(out.answer, run.answer, "n = {n}");
+            assert_eq!(out.rounds[1].max_words_per_machine, round2_words(&run));
+        }
     }
 }

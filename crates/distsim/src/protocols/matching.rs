@@ -5,8 +5,6 @@
 //! print as table rows.
 
 use crate::coordinator::CoordinatorProtocol;
-use crate::error::ProtocolError;
-use crate::faults::{FaultPlan, RetryPolicy};
 use crate::report::MatchingProtocolReport;
 use coresets::matching_coreset::{
     MatchingCoresetBuilder, MaximumMatchingCoreset, SubsampledMatchingCoreset,
@@ -35,33 +33,6 @@ pub fn report_matching_protocol<B: MatchingCoresetBuilder>(
         approximation_ratio: MatchingProtocolReport::ratio(reference_matching_size, matching_size),
         communication: run.communication,
         faults: None,
-    })
-}
-
-/// Runs a matching protocol under a fault plan and reports the outcome with
-/// the run's [`crate::faults::FaultReport`] attached.
-pub fn report_matching_protocol_faulty<B: MatchingCoresetBuilder>(
-    g: &Graph,
-    k: usize,
-    builder: &B,
-    reference_matching_size: usize,
-    seed: u64,
-    plan: &FaultPlan,
-    retry: &RetryPolicy,
-) -> Result<MatchingProtocolReport, ProtocolError> {
-    let faulty =
-        CoordinatorProtocol::random(k).run_matching_faulty(g, builder, seed, plan, retry)?;
-    let matching_size = faulty.run.answer.len();
-    Ok(MatchingProtocolReport {
-        protocol: builder.name().to_string(),
-        k,
-        n: g.n(),
-        m: g.m(),
-        matching_size,
-        reference_matching_size,
-        approximation_ratio: MatchingProtocolReport::ratio(reference_matching_size, matching_size),
-        communication: faulty.run.communication,
-        faults: Some(faulty.faults),
     })
 }
 

@@ -2,8 +2,6 @@
 
 use crate::comm::{CommunicationCost, CostModel};
 use crate::coordinator::CoordinatorProtocol;
-use crate::error::ProtocolError;
-use crate::faults::{FaultPlan, RetryPolicy};
 use crate::report::VertexCoverProtocolReport;
 use coresets::vc_coreset::{GroupedVcCoreset, PeelingVcCoreset, VcCoresetBuilder};
 use coresets::CoresetParams;
@@ -36,37 +34,6 @@ pub fn report_vertex_cover_protocol<B: VcCoresetBuilder>(
         approximation_ratio: VertexCoverProtocolReport::ratio(cover_size, reference_cover_size),
         communication: run.communication,
         faults: None,
-    })
-}
-
-/// Runs a vertex-cover protocol under a fault plan and reports the outcome
-/// with the run's [`crate::faults::FaultReport`] attached. Feasibility is
-/// judged against the full input graph: a degraded cover that misses edges of
-/// lost machines reports `feasible: false`, which is itself a measured
-/// result.
-pub fn report_vertex_cover_protocol_faulty<B: VcCoresetBuilder>(
-    g: &Graph,
-    k: usize,
-    builder: &B,
-    reference_cover_size: usize,
-    seed: u64,
-    plan: &FaultPlan,
-    retry: &RetryPolicy,
-) -> Result<VertexCoverProtocolReport, ProtocolError> {
-    let faulty =
-        CoordinatorProtocol::random(k).run_vertex_cover_faulty(g, builder, seed, plan, retry)?;
-    let cover_size = faulty.run.answer.len();
-    Ok(VertexCoverProtocolReport {
-        protocol: builder.name().to_string(),
-        k,
-        n: g.n(),
-        m: g.m(),
-        feasible: faulty.run.answer.covers(g),
-        cover_size,
-        reference_cover_size,
-        approximation_ratio: VertexCoverProtocolReport::ratio(cover_size, reference_cover_size),
-        communication: faulty.run.communication,
-        faults: Some(faulty.faults),
     })
 }
 

@@ -75,17 +75,10 @@ pub struct VertexCoverProtocolReport {
 }
 
 impl VertexCoverProtocolReport {
-    /// Computes the approximation ratio, guarding against division by zero.
+    /// Computes the approximation ratio, guarding against division by zero
+    /// (the same guarded quotient as [`MatchingProtocolReport::ratio`]).
     pub fn ratio(achieved: usize, reference: usize) -> f64 {
-        if reference == 0 {
-            if achieved == 0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            achieved as f64 / reference as f64
-        }
+        MatchingProtocolReport::ratio(achieved, reference)
     }
 }
 

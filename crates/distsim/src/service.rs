@@ -31,17 +31,16 @@
 //! `tests/determinism.rs`.
 
 use crate::error::ProtocolError;
-use coresets::matching_coreset::{MatchingCoresetBuilder, MaximumMatchingCoreset};
+use coresets::matching_coreset::MaximumMatchingCoreset;
 use coresets::streams::machine_rng;
-use coresets::vc_coreset::{PeelingVcCoreset, VcCoresetBuilder, VcCoresetOutput};
+use coresets::vc_coreset::{PeelingVcCoreset, VcCoresetOutput};
 use coresets::{
-    compose_vertex_cover_refs, solve_composed_matching_refs, CoresetCache, CoresetCacheKey,
-    CoresetParams,
+    build_all, CoresetCache, CoresetCacheKey, CoresetParams, CoresetProblem, CoverProblem,
+    MatchingProblem,
 };
 use dynamic::DynamicCover;
 use graph::{ChurnOp, ChurnPartition, Graph, GraphError};
 use matching::matching::Matching;
-use matching::maximum::MaximumMatchingAlgorithm;
 use rayon::prelude::*;
 use vertexcover::VertexCover;
 
@@ -146,42 +145,36 @@ impl GraphService {
     fn refresh(&mut self) -> Result<BatchOutcome, ProtocolError> {
         let k = self.cfg.k;
         let seed = self.cfg.seed;
-        let fingerprints: Vec<u64> = (0..k)
-            .map(|i| self.partition.piece_fingerprint(i))
-            .collect();
         let mut missing: Vec<(usize, CoresetCacheKey)> = Vec::new();
-        for (i, &fp) in fingerprints.iter().enumerate() {
+        for i in 0..k {
             let key = CoresetCacheKey {
                 seed,
                 machine: i,
-                piece_fingerprint: fp,
+                piece_fingerprint: self.partition.piece_fingerprint(i),
             };
-            // The two caches are filled in lockstep, so one probe decides;
-            // the vc cache's counters are kept in sync below.
-            if self.matching_cache.lookup(&key).is_none() {
-                self.vc_cache.lookup(&key);
+            // The two caches are filled in lockstep, so the matching probe
+            // decides; the vc probe keeps that cache's counters in sync.
+            let hit = self.matching_cache.lookup(&key).is_some();
+            self.vc_cache.lookup(&key);
+            if !hit {
                 missing.push((i, key));
-            } else {
-                self.vc_cache.lookup(&key);
             }
         }
 
         // Dirty machines rebuild exactly as a from-scratch batch round would:
         // same piece content (canonical order), same params, and a fresh
-        // machine_rng(seed, i) stream per builder call.
+        // machine_rng(seed, i) stream per builder call. One parallel pass
+        // builds both problems' coresets of each dirty piece.
+        let (mb, vb) = (MaximumMatchingCoreset::new(), PeelingVcCoreset::new());
+        let (mp, cp) = (MatchingProblem(&mb), CoverProblem(&vb));
         let partition = &self.partition;
         let params = &self.params;
         let built: Vec<(usize, Graph, VcCoresetOutput)> = missing
             .par_iter()
             .map(|&(i, _)| {
                 let piece = partition.piece(i);
-                let mc = MaximumMatchingCoreset::new().build(
-                    piece,
-                    params,
-                    i,
-                    &mut machine_rng(seed, i),
-                );
-                let vc = PeelingVcCoreset::new().build(piece, params, i, &mut machine_rng(seed, i));
+                let mc = mp.build(piece, params, i, &mut machine_rng(seed, i));
+                let vc = cp.build(piece, params, i, &mut machine_rng(seed, i));
                 (i, mc, vc)
             })
             .collect();
@@ -191,35 +184,17 @@ impl GraphService {
             self.matching_cache.insert(key, mc);
             self.vc_cache.insert(key, vc);
         }
-
-        let matching_refs: Vec<&Graph> = (0..k)
-            .map(|i| match self.matching_cache.slot(i) {
-                Some(c) => c,
-                // Unreachable: every miss was just rebuilt and inserted.
-                None => unreachable!("machine {i} has no cached matching coreset"), // xtask: allow(error-hygiene)
-            })
-            .collect();
-        self.last_matching =
-            solve_composed_matching_refs(&matching_refs, MaximumMatchingAlgorithm::Auto);
-        let vc_refs: Vec<&VcCoresetOutput> = (0..k)
-            .map(|i| match self.vc_cache.slot(i) {
-                Some(c) => c,
-                // Unreachable: every miss was just rebuilt and inserted.
-                None => unreachable!("machine {i} has no cached vc coreset"), // xtask: allow(error-hygiene)
-            })
-            .collect();
-        self.last_cover = compose_vertex_cover_refs(&vc_refs);
+        self.last_matching = compose_cached(&mp, &self.matching_cache, k);
+        self.last_cover = compose_cached(&cp, &self.vc_cache, k);
 
         Ok(BatchOutcome {
-            applied: 0,
-            batch_len: 0,
             machines_rebuilt: rebuilt,
             machines_cached: k - rebuilt,
-            compacted: false,
             matching_size: self.last_matching.len(),
             cover_size: self.last_cover.len(),
             approx_matching_size: self.incremental.matcher().matching_size(),
             approx_cover_size: self.incremental.cover_size(),
+            ..BatchOutcome::default()
         })
     }
 
@@ -288,6 +263,23 @@ impl std::fmt::Debug for GraphService {
     }
 }
 
+/// Composes `problem`'s answer over all `k` cache slots, borrowed in
+/// machine order.
+fn compose_cached<P: CoresetProblem>(
+    problem: &P,
+    cache: &CoresetCache<P::Summary>,
+    k: usize,
+) -> P::Answer {
+    let refs: Vec<&P::Summary> = (0..k)
+        .map(|i| match cache.slot(i) {
+            Some(c) => c,
+            // Unreachable: every miss was just rebuilt and inserted.
+            None => unreachable!("machine {i} has no cached coreset"), // xtask: allow(error-hygiene)
+        })
+        .collect();
+    problem.compose(&refs)
+}
+
 /// The frozen naive baseline E18 compares against: re-partition from scratch
 /// and rebuild **every** machine's coreset after each batch, composing the
 /// same way. Returns `(matching, cover)` of one full round over `g`.
@@ -302,24 +294,10 @@ pub fn naive_full_round(
     let partition = graph::partition::PartitionedGraph::by_edge_hash(g, k, seed)?;
     let params = CoresetParams::new(g.n(), k);
     let views = partition.views();
-    let coresets: Vec<Graph> = views
-        .par_iter()
-        .enumerate()
-        .map(|(i, piece)| {
-            MaximumMatchingCoreset::new().build(*piece, &params, i, &mut machine_rng(seed, i))
-        })
-        .collect();
-    let outputs: Vec<VcCoresetOutput> = views
-        .par_iter()
-        .enumerate()
-        .map(|(i, piece)| {
-            PeelingVcCoreset::new().build(*piece, &params, i, &mut machine_rng(seed, i))
-        })
-        .collect();
-    let refs: Vec<&Graph> = coresets.iter().collect();
-    let matching = solve_composed_matching_refs(&refs, MaximumMatchingAlgorithm::Auto);
-    let out_refs: Vec<&VcCoresetOutput> = outputs.iter().collect();
-    let cover = compose_vertex_cover_refs(&out_refs);
+    let (mb, vb) = (MaximumMatchingCoreset::new(), PeelingVcCoreset::new());
+    let (mp, cp) = (MatchingProblem(&mb), CoverProblem(&vb));
+    let matching = mp.compose_owned(&build_all(&mp, &views, &params, seed));
+    let cover = cp.compose_owned(&build_all(&cp, &views, &params, seed));
     Ok((matching, cover))
 }
 
