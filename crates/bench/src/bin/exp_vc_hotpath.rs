@@ -13,9 +13,12 @@
 //!   epoch-stamped workspace arrays (`O(m)`, no `O(n)` pass); threshold
 //!   schedules that cannot peel anything (sparse pieces of a random
 //!   `k`-partition) finish right there;
-//! * **bucket-queue rounds** — otherwise the piece is compacted, one CSR is
-//!   built over the live vertices, and an indexed bucket structure peels
-//!   each round in `O(vertices peeled + edges removed)`;
+//! * **candidate rounds** — otherwise the rounds run on the candidates
+//!   only (the vertices whose degree reaches the smallest threshold; no
+//!   other vertex can ever be peeled): their adjacency among themselves is
+//!   built in reused workspace buffers, each round scans the live
+//!   candidates and decrements their candidate neighbours, and the residual
+//!   is one flag filter over the input edges;
 //! * **union-free composition** — the coordinator's 2-approximation scans
 //!   the residual edge slices in machine order instead of materializing
 //!   `Graph::union` first.
@@ -433,12 +436,12 @@ fn main() {
         pipeline: 2,
     };
 
-    println!("# E14 — vertex-cover hot path: bucket-queue peeling engine\n");
+    println!("# E14 — vertex-cover hot path: candidate-restricted peeling engine\n");
     println!("Old path (frozen in this binary): per-round residual rescans + retains, a fresh");
     println!("vec![0; n] degree array per round, vec![false; n] peel/matched flags per call,");
-    println!("union-materializing composition. New path: stamped degree pre-screen, compacted");
-    println!("CSR + bucket-queue rounds, union-free composed 2-approximation. k = {K},");
-    println!("RC_THREADS=1.\n");
+    println!("union-materializing composition. New path: stamped degree pre-screen, rounds");
+    println!("over the threshold-reaching candidates only, union-free composed 2-approximation.");
+    println!("k = {K}, RC_THREADS=1.\n");
 
     let w = bench_workload(n, p, &reps);
 

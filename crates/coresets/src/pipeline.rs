@@ -45,9 +45,9 @@
 //! **Vertex-cover hot path:** symmetrically, every peeling and
 //! 2-approximation call — the per-piece `VC-Coreset` peelings and the
 //! coordinator's composition — runs on the worker thread's reusable
-//! `vertexcover::VcEngine`: threshold rounds peel through a bucket queue in
-//! `O(vertices peeled + edges removed)` instead of rescanning the residual
-//! buffer, and the composed 2-approximation scans the residual slices
+//! `vertexcover::VcEngine`: threshold rounds run only on the vertices that can
+//! reach a threshold instead of rescanning the residual buffer, and the
+//! composed 2-approximation scans the residual slices
 //! without materializing their union. A full VC run performs **zero**
 //! per-round edge-buffer reallocations
 //! (`graph::metrics::vc_peel_scratch_elems` stays 0; experiment E14,

@@ -13,8 +13,8 @@
 //!
 //! Every peeling and 2-approximation call below runs on the calling worker
 //! thread's reusable `vertexcover::VcEngine` (via the `vertexcover` free
-//! functions): the bucket-queue peeling core performs zero per-round
-//! edge-buffer reallocations — `graph::metrics::vc_peel_scratch_elems` stays
+//! functions): the peeling core performs zero per-round edge-buffer
+//! reallocations — `graph::metrics::vc_peel_scratch_elems` stays
 //! 0 across a protocol run, asserted by experiment E14 (`exp_vc_hotpath`) and
 //! the determinism suite. Engine outputs are invariant under workspace
 //! reuse, so this sharing never affects the cross-thread-count determinism

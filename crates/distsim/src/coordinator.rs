@@ -29,7 +29,7 @@
 //! one engine across the machines it simulates, and
 //! [`coresets::solve_composed_matching`] seeds the final solve with the best
 //! machine's matching. The vertex-cover side runs on the analogous
-//! `vertexcover::VcEngine` (experiment E14): bucket-queue peeling per
+//! `vertexcover::VcEngine` (experiment E14): candidate-restricted peeling per
 //! machine and a union-free composed 2-approximation at the coordinator,
 //! with zero per-round edge-buffer reallocations across the whole run.
 //!

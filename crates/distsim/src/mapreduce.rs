@@ -17,7 +17,7 @@
 //! coordinator model, every maximum-matching solve (per-machine coresets,
 //! machine `M`'s composed solve) runs on the compacted, epoch-reset,
 //! warm-started [`matching::MatchingEngine`] (experiment E13), and every
-//! vertex-cover peeling / composition runs on the bucket-queue
+//! vertex-cover peeling / composition runs on the reusable
 //! `vertexcover::VcEngine` (experiment E14).
 //!
 //! Round 2 *is* the coordinator protocol with machine `M` as the coordinator:

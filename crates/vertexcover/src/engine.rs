@@ -1,6 +1,6 @@
-//! The vertex-cover engine: compaction + bucket-queue peeling + epoch-reset
-//! scratch, mirroring [`matching::MatchingEngine`]'s role on the matching
-//! side.
+//! The vertex-cover engine: candidate-restricted peeling + compaction +
+//! epoch-reset scratch, mirroring [`matching::MatchingEngine`]'s role on the
+//! matching side.
 //!
 //! [`VcEngine`] is the solve path behind every free function in this crate
 //! ([`crate::peeling`], [`crate::approx`], [`crate::lp`], [`crate::exact`])
@@ -9,10 +9,10 @@
 //!
 //! * a [`graph::VertexCompactor`] that relabels inputs onto their
 //!   non-isolated vertices (monotonically, so orderings survive) before the
-//!   structure-building solvers run, and
+//!   structure-building solvers (greedy, LP, exact) run, and
 //! * a [`VcWorkspace`] whose epoch-stamped flags, stamped degree counts and
-//!   bucket queue replace every per-call `vec![false; n]` / `vec![0; n]`
-//!   allocation of the pre-engine path.
+//!   candidate-subgraph buffers replace every per-call `vec![false; n]` /
+//!   `vec![0; n]` allocation of the pre-engine path.
 //!
 //! The peeling core ([`VcEngine::peel_with_thresholds`]) is where the
 //! asymptotics change. The old path rescanned and `retain`ed the full
@@ -25,13 +25,17 @@
 //!   whose thresholds start at `n/(4k)` — no round can peel anything and the
 //!   outcome is produced with **no further work**: empty rounds plus the
 //!   input edge list as the residual.
-//! * **Bucket-queue rounds.** Otherwise the piece is compacted, one CSR is
-//!   built over the live vertices, and the degrees are counting-sorted into
-//!   the workspace's bucket queue. The vertices of degree `>= t` are a
-//!   suffix of the degree-sorted array (read off in `O(peeled)`), and
-//!   removing a peeled vertex decrements each live neighbour with an `O(1)`
-//!   bucket swap — so a round costs `O(vertices peeled + edges removed)`,
-//!   and rounds that peel nothing cost `O(1)`.
+//! * **Candidate rounds.** Otherwise only the *candidates* — the vertices
+//!   whose degree reaches the smallest threshold — can ever be peeled,
+//!   because degrees only fall, and only their degrees are ever compared
+//!   with a threshold. Their adjacency among themselves is built in the
+//!   workspace's reused buffers (one pass over the edges); each round scans
+//!   the live candidates, peels those at or above the threshold and
+//!   decrements their candidate neighbours; the residual is one flag filter
+//!   over the input edges. There is no compaction and no CSR over the whole
+//!   piece, so vertices that can never be peeled cost nothing beyond the
+//!   degree count, and a round costs `O(live candidates + candidate edges
+//!   removed)`.
 //!
 //! Outputs are **identical** to the pre-engine path, round by round
 //! (`tests/engine_equivalence.rs` pins this against
@@ -49,7 +53,7 @@ use graph::{BipartiteGraph, Csr, Edge, Graph, GraphRef, VertexCompactor, VertexI
 use std::cell::RefCell;
 
 /// A reusable vertex-cover solver: compaction scratch + epoch-reset workspace
-/// + bucket-queue peeling, allocated once and reused across solves.
+/// + candidate-restricted peeling, allocated once and reused across solves.
 ///
 /// See the [module docs](self) for the solve pipeline. Construct one per
 /// long-lived worker, or use the thread-local engine behind the free
@@ -97,10 +101,8 @@ impl VcEngine {
                 .max(self.workspace.bump_degree(e.u))
                 .max(self.workspace.bump_degree(e.v));
         }
-        let max_degree = max_degree as usize;
         let min_threshold = thresholds.iter().copied().filter(|&t| t > 0).min();
-        let peels_nothing = !matches!(min_threshold, Some(t) if t <= max_degree);
-        if peels_nothing {
+        let Some(min_threshold) = min_threshold.filter(|&t| t <= max_degree as usize) else {
             for &t in thresholds {
                 if t > 0 {
                     // Empty round marker: `Vec::new` performs no heap allocation.
@@ -114,75 +116,35 @@ impl VcEngine {
                 // The residual graph is part of the output contract.
                 residual: Graph::from_edges_unchecked(n, edges.to_vec()), // xtask: allow(hot-path-alloc)
             };
-        }
+        };
 
-        // Bucket-queue rounds: compact onto the live vertices, build one CSR,
-        // counting-sort the degrees into the bucket queue.
-        let VcEngine {
-            compactor,
-            workspace: ws,
-        } = self;
-        compactor.compact(g);
-        let n_local = compactor.n_local();
-        let adj = Csr::from_edges(n_local, compactor.local_edges());
-        ws.begin_scope(n_local);
-        for v in 0..n_local as VertexId {
-            ws.set_degree(v, adj.degree(v) as u32);
-        }
-        ws.build_buckets(max_degree);
-        let mut live_end = n_local;
-
-        let mut round = std::mem::take(&mut ws.round);
+        // Candidate rounds: only vertices whose degree already reaches the
+        // smallest threshold can ever be peeled, so the rounds run on their
+        // subgraph alone.
+        let ws = &mut self.workspace;
+        ws.build_candidates(edges, min_threshold);
         for &t in thresholds {
             if t == 0 {
                 continue;
             }
-            // Vertices of residual degree >= t are exactly the suffix of the
-            // degree-sorted live region starting at bin[t]; thresholds above
-            // the current maximum clamp to an empty suffix.
-            let start = ws
-                .bin
-                .get(t)
-                .map_or(live_end, |&b| (b as usize).min(live_end));
-            if start == live_end {
-                // Empty round marker: `Vec::new` performs no heap allocation.
-                peeled_per_round.push(Vec::new()); // xtask: allow(hot-path-alloc)
-                used_thresholds.push(t);
-                continue;
-            }
-            round.clear();
-            round.extend_from_slice(&ws.vert[start..live_end]);
             // Simultaneous semantics: the whole round is decided against the
             // round-start degrees, then removed together.
-            for &v in &round {
-                ws.flag(v);
-            }
-            for &v in &round {
-                for &w in adj.neighbors(v) {
-                    if !ws.is_flagged(w) {
-                        ws.decrement(w);
-                    }
-                }
-            }
-            live_end = start;
-            let mut peeled: Vec<VertexId> = round.iter().map(|&v| compactor.orig_of(v)).collect();
-            // The relabeling is monotone, so sorting after mapping equals the
-            // reference's ascending-id round order.
+            ws.peel_round(t);
+            let mut peeled: Vec<VertexId> = ws.round.iter().map(|&i| ws.cand[i as usize]).collect();
+            // Candidates sit in first-touch order; the reference lists each
+            // round in ascending id order.
             peeled.sort_unstable();
             peeled_per_round.push(peeled);
             used_thresholds.push(t);
         }
-        ws.round = round;
 
-        // The compacted edge list is index-aligned with the input edge list,
-        // so the residual (with original ids, in input order) is one filter
-        // pass — the only edge buffer the whole solve writes.
-        let residual: Vec<Edge> = compactor
-            .local_edges()
+        // Peeled vertices are flagged by their original ids, so the residual
+        // (in input order) is one filter pass over the input edges — the
+        // only edge buffer the whole solve writes.
+        let residual: Vec<Edge> = edges
             .iter()
-            .zip(edges)
-            .filter(|(le, _)| !ws.is_flagged(le.u) && !ws.is_flagged(le.v))
-            .map(|(_, oe)| *oe)
+            .filter(|e| !ws.is_flagged(e.u) && !ws.is_flagged(e.v))
+            .copied()
             .collect();
         PeelingOutcome {
             peeled_per_round,
@@ -402,7 +364,7 @@ mod tests {
     #[test]
     fn bucket_rounds_fire_on_stars_and_fast_path_on_sparse() {
         let mut engine = VcEngine::new();
-        // Star: the centre is peeled through the bucket path.
+        // Star: the centre is peeled through the candidate rounds.
         let g = star(100);
         let out = engine.peel_with_thresholds(&g, &[50, 10]);
         assert_eq!(out.peeled_per_round[0], vec![0]);

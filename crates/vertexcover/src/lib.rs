@@ -14,8 +14,9 @@
 //!   graphs, used as ground truth in the experiments.
 //! * [`engine`] / [`workspace`] — the reusable [`VcEngine`] every free
 //!   function above runs on: vertex compaction, epoch-stamped scratch and
-//!   the bucket-queue peeling core (experiment E14, `exp_vc_hotpath`),
-//!   mirroring `matching::MatchingEngine` on the matching side.
+//!   the peeling core, whose rounds run only on the vertices that can reach
+//!   a threshold (experiment E14, `exp_vc_hotpath`), mirroring
+//!   `matching::MatchingEngine` on the matching side.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

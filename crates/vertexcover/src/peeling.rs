@@ -13,9 +13,9 @@
 //! schedule `t_j = n / (k · 2^{j+1})`.
 //!
 //! The free functions run on the calling thread's reusable
-//! [`VcEngine`](crate::engine::VcEngine), whose bucket-queue core peels each
-//! round in `O(vertices peeled + edges removed)` with **zero** per-round
-//! edge-buffer reallocations. The pre-engine implementation is preserved as
+//! [`VcEngine`](crate::engine::VcEngine), whose rounds run only on the
+//! vertices that can reach a threshold, with **zero** per-round edge-buffer
+//! reallocations. The pre-engine implementation is preserved as
 //! [`peel_with_thresholds_reference`] — the differential-testing baseline,
 //! whose per-call and per-round scratch allocations are recorded in
 //! [`graph::metrics::vc_peel_scratch_elems`] so protocol runs can assert they

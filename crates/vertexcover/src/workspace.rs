@@ -22,13 +22,16 @@
 //!   array (`degree` valid iff `degree_stamp == epoch`), so counting costs
 //!   `O(m)` — independent of the global `n` — and simultaneously collects
 //!   the non-isolated vertex list.
-//! * **Bucket queue.** For the peeling process the non-isolated vertices are
-//!   counting-sorted by residual degree into an indexed bucket structure
-//!   (`vert` / `pos` / `bin`, the Matula–Beck layout): the vertices of
-//!   degree `>= t` are a suffix of `vert`, read off in `O(peeled)`, and
-//!   removing a peeled vertex decrements each live neighbour with an `O(1)`
-//!   bucket swap. A threshold round therefore costs
-//!   `O(vertices peeled + edges removed)` instead of a full residual rescan.
+//! * **Candidate subgraph.** A peeling round compares residual degrees with
+//!   its threshold, and degrees only fall, so only the *candidates* — the
+//!   vertices whose initial degree reaches the smallest positive threshold —
+//!   can ever be peeled. Their adjacency among themselves is built into
+//!   reused buffers, indexed by a sparse set over `pos` (`v` is candidate
+//!   `i` iff `pos[v] == i < |C|` and `cand[i] == v`, so entries left by
+//!   earlier solves are harmless and `pos` is never cleared). A round scans
+//!   the live candidates and decrements the candidate neighbours of the
+//!   peeled ones: `O(live candidates + candidate edges removed)`, with no
+//!   work at all on the vertices that can never reach a threshold.
 //!
 //! **Epoch-reset invariant:** a stamped entry is meaningful iff its stamp
 //! equals the current epoch; bumping the epoch invalidates all entries in
@@ -37,11 +40,11 @@
 //! [`VcWorkspace::full_resets`] and asserted zero by the unit tests, the
 //! engine-equivalence proptests, and experiment E14.
 
-use graph::VertexId;
+use graph::{Edge, VertexId};
 use std::collections::BinaryHeap;
 
 /// Reusable vertex-cover scratch: scope stamps, stamped degree counts and the
-/// bucket-queue peeling structure.
+/// candidate subgraph the peeling rounds run on.
 ///
 /// See the [module docs](self) for the invariants. Obtain one via
 /// [`VcWorkspace::new`] or let [`VcEngine`](crate::engine::VcEngine) manage
@@ -58,14 +61,24 @@ pub struct VcWorkspace {
     degree_stamp: Vec<u32>,
     /// Non-isolated vertices of the current solve, in first-touch order.
     pub(crate) active: Vec<VertexId>,
-    /// Bucket queue: vertices sorted by residual degree…
-    pub(crate) vert: Vec<VertexId>,
-    /// …the position of each active vertex in `vert`…
+    /// Peeling candidates (vertices that can reach a threshold), in
+    /// first-touch order…
+    pub(crate) cand: Vec<VertexId>,
+    /// …the candidate index of each vertex (a sparse set: only entries with
+    /// `pos[v] < cand.len()` and `cand[pos[v]] == v` mean anything)…
     pos: Vec<u32>,
-    /// …and `bin[d]` = index in `vert` of the first vertex of degree `>= d`.
-    pub(crate) bin: Vec<u32>,
-    /// Per-round peel scratch (the round's peel set, sorted before output).
-    pub(crate) round: Vec<VertexId>,
+    /// …each candidate's residual degree in the whole piece…
+    cand_degree: Vec<u32>,
+    /// …and its candidate neighbours, `adj[adj_start[i]..adj_end[i]]`, by
+    /// candidate index (room for the full degree is reserved, only the
+    /// candidate neighbours are written).
+    adj_start: Vec<usize>,
+    adj_end: Vec<usize>,
+    adj: Vec<u32>,
+    /// Candidates not yet peeled, by index.
+    live: Vec<u32>,
+    /// The current round's peeled candidates, by index.
+    pub(crate) round: Vec<u32>,
     /// Lazy-deletion heap reused by `greedy_degree_cover`.
     pub(crate) heap: BinaryHeap<(usize, VertexId)>,
     /// The composed 2-approximation's cover vertices (picks, then fixed
@@ -92,9 +105,13 @@ impl VcWorkspace {
             degree: Vec::new(),
             degree_stamp: Vec::new(),
             active: Vec::new(),
-            vert: Vec::new(),
+            cand: Vec::new(),
             pos: Vec::new(),
-            bin: Vec::new(),
+            cand_degree: Vec::new(),
+            adj_start: Vec::new(),
+            adj_end: Vec::new(),
+            adj: Vec::new(),
+            live: Vec::new(),
             round: Vec::new(),
             heap: BinaryHeap::new(),
             picks: Vec::new(),
@@ -191,8 +208,8 @@ impl VcWorkspace {
         self.degree[v as usize] = d;
     }
 
-    /// Decrements the degree of an active vertex *without* touching the
-    /// bucket queue (for the heap-based greedy cover). Returns the new value.
+    /// Decrements the degree of an active vertex (for the heap-based greedy
+    /// cover). Returns the new value.
     #[inline]
     pub(crate) fn dec_degree(&mut self, v: VertexId) -> u32 {
         debug_assert!(self.degree_stamp[v as usize] == self.epoch);
@@ -200,53 +217,79 @@ impl VcWorkspace {
         self.degree[v as usize]
     }
 
-    /// Builds the bucket queue over the current `active` list: counting-sorts
-    /// the vertices by degree into `vert`/`pos` and fills the `bin`
-    /// boundaries for degrees `0 ..= max_degree + 1`. `O(active + max_degree)`.
-    pub(crate) fn build_buckets(&mut self, max_degree: usize) {
-        self.bin.clear();
-        self.bin.resize(max_degree + 2, 0);
-        for &v in &self.active {
-            self.bin[self.degree[v as usize] as usize + 1] += 1;
-        }
-        for d in 0..=max_degree {
-            self.bin[d + 1] += self.bin[d];
-        }
-        // `bin` now holds the start index of every degree block; place the
-        // vertices using `bin` itself as the cursor (each `bin[d]` ends up at
-        // the start of block `d + 1`), then shift it back by one block.
-        self.vert.clear();
-        self.vert.resize(self.active.len(), 0);
-        for i in 0..self.active.len() {
-            let v = self.active[i];
-            let d = self.degree[v as usize] as usize;
-            let slot = self.bin[d];
-            self.bin[d] += 1;
-            self.vert[slot as usize] = v;
-            self.pos[v as usize] = slot;
-        }
-        for d in (1..=max_degree + 1).rev() {
-            self.bin[d] = self.bin[d - 1];
-        }
-        self.bin[0] = 0;
+    /// The candidate index of `v`, if `v` is a candidate of the current
+    /// solve. Stale `pos` entries fail one of the two checks.
+    #[inline]
+    fn cand_index(&self, v: VertexId) -> Option<usize> {
+        let i = self.pos[v as usize] as usize;
+        (self.cand.get(i) == Some(&v)).then_some(i)
     }
 
-    /// Decrements the residual degree of live vertex `w` by one, keeping the
-    /// bucket queue sorted with the standard `O(1)` boundary swap.
-    #[inline]
-    pub(crate) fn decrement(&mut self, w: VertexId) {
-        let d = self.degree[w as usize] as usize;
-        debug_assert!(d >= 1, "cannot decrement a zero-degree vertex");
-        let p = self.pos[w as usize] as usize;
-        let s = self.bin[d] as usize;
-        // Swap `w` with the first vertex of its degree block, then shrink
-        // the block from the left: `w` now lives in the (d-1)-block.
-        let other = self.vert[s];
-        self.vert.swap(p, s);
-        self.pos[other as usize] = p as u32;
-        self.pos[w as usize] = s as u32;
-        self.bin[d] += 1;
-        self.degree[w as usize] = (d - 1) as u32;
+    /// Builds the candidate subgraph of `edges` for peeling down to
+    /// `min_threshold`: the active vertices whose counted degree reaches it,
+    /// their degrees, and their adjacency among themselves; every candidate
+    /// starts live. Needs the degrees of `edges` counted in the current
+    /// scope. `O(active + m)`.
+    pub(crate) fn build_candidates(&mut self, edges: &[Edge], min_threshold: usize) {
+        self.cand.clear();
+        self.cand_degree.clear();
+        self.adj_start.clear();
+        let mut slots = 0;
+        for &v in &self.active {
+            let d = self.degree[v as usize];
+            if d as usize >= min_threshold {
+                self.pos[v as usize] = self.cand.len() as u32;
+                self.cand.push(v);
+                self.cand_degree.push(d);
+                self.adj_start.push(slots);
+                slots += d as usize;
+            }
+        }
+        self.adj_end.clear();
+        self.adj_end.extend_from_slice(&self.adj_start);
+        // Stale contents are fine: only the written prefix of each range is
+        // ever read.
+        self.adj.resize(self.adj.len().max(slots), 0);
+        for e in edges {
+            if let (Some(a), Some(b)) = (self.cand_index(e.u), self.cand_index(e.v)) {
+                self.adj[self.adj_end[a]] = b as u32;
+                self.adj_end[a] += 1;
+                self.adj[self.adj_end[b]] = a as u32;
+                self.adj_end[b] += 1;
+            }
+        }
+        self.live.clear();
+        self.live.extend(0..self.cand.len() as u32);
+    }
+
+    /// One peeling round at threshold `t`: moves every live candidate of
+    /// residual degree `>= t` into `round` (decided against the round-start
+    /// degrees), flags it, and decrements its candidate neighbours.
+    /// Decrementing an already peeled neighbour is harmless (its degree is
+    /// never read again) and cannot underflow (a vertex loses at most one
+    /// per incident edge). `O(live candidates + candidate edges removed)`.
+    pub(crate) fn peel_round(&mut self, t: usize) {
+        let VcWorkspace {
+            cand_degree,
+            live,
+            round,
+            ..
+        } = self;
+        round.clear();
+        live.retain(|&i| {
+            let peel = cand_degree[i as usize] as usize >= t;
+            if peel {
+                round.push(i);
+            }
+            !peel
+        });
+        for &i in &self.round {
+            self.stamp[self.cand[i as usize] as usize] = self.epoch;
+            let (s, e) = (self.adj_start[i as usize], self.adj_end[i as usize]);
+            for &j in &self.adj[s..e] {
+                self.cand_degree[j as usize] -= 1;
+            }
+        }
     }
 }
 
@@ -273,31 +316,76 @@ mod tests {
     }
 
     #[test]
-    fn buckets_sort_by_degree_and_decrement_in_place() {
+    fn candidates_index_only_vertices_that_reach_the_threshold() {
         let mut ws = VcWorkspace::new();
+        // A first solve leaves `pos` entries behind for 0..4.
+        let first = [Edge::new(0, 1), Edge::new(2, 3), Edge::new(0, 3)];
+        ws.begin_scope(6);
+        for e in &first {
+            ws.bump_degree(e.u);
+            ws.bump_degree(e.v);
+        }
+        ws.build_candidates(&first, 1);
+        assert_eq!(ws.cand.len(), 4);
+        // Star at 4 plus the edge 2-3: only 4 reaches degree 2.
+        let second = [
+            Edge::new(4, 0),
+            Edge::new(4, 1),
+            Edge::new(4, 5),
+            Edge::new(2, 3),
+        ];
+        ws.begin_scope(6);
+        for e in &second {
+            ws.bump_degree(e.u);
+            ws.bump_degree(e.v);
+        }
+        ws.build_candidates(&second, 2);
+        assert_eq!(ws.cand, vec![4]);
+        assert_eq!(ws.cand_degree, vec![3]);
+        // Stale entries from the first solve do not make 0..4 candidates.
+        for v in 0..4 {
+            assert_eq!(ws.cand_index(v), None, "vertex {v}");
+        }
+        assert_eq!(
+            ws.adj_end[0], ws.adj_start[0],
+            "4 has no candidate neighbour"
+        );
+        ws.peel_round(3);
+        assert_eq!(ws.round, vec![0]);
+        assert!(ws.is_flagged(4) && !ws.is_flagged(1));
+        assert!(ws.live.is_empty());
+    }
+
+    #[test]
+    fn a_round_decrements_only_candidate_neighbours_of_peeled_vertices() {
+        let mut ws = VcWorkspace::new();
+        // Triangle 0-1-2 plus a pendant edge 2-3: candidates at degree >= 2
+        // are 0, 1, 2.
+        let edges = [
+            Edge::new(0, 1),
+            Edge::new(1, 2),
+            Edge::new(0, 2),
+            Edge::new(2, 3),
+        ];
         ws.begin_scope(4);
-        // Degrees: v0 = 1, v1 = 3, v2 = 2, v3 = 2.
-        for (v, d) in [(0u32, 1), (1, 3), (2, 2), (3, 2)] {
-            for _ in 0..d {
-                ws.bump_degree(v);
-            }
+        for e in &edges {
+            ws.bump_degree(e.u);
+            ws.bump_degree(e.v);
         }
-        ws.build_buckets(3);
-        // vert is sorted ascending by degree.
-        let degs: Vec<u32> = ws.vert.iter().map(|&v| ws.degree_of(v)).collect();
-        assert_eq!(degs, vec![1, 2, 2, 3]);
-        // Vertices with degree >= 2 are the suffix starting at bin[2].
-        assert_eq!(ws.bin[2], 1);
-        assert_eq!(ws.bin[3], 3);
-        // Decrement v1 (3 -> 2): stays within the live region, sorted.
-        ws.decrement(1);
-        assert_eq!(ws.degree_of(1), 2);
-        let degs: Vec<u32> = ws.vert.iter().map(|&v| ws.degree_of(v)).collect();
-        assert_eq!(degs, vec![1, 2, 2, 2]);
-        // pos stays consistent with vert.
-        for (i, &v) in ws.vert.iter().enumerate() {
-            assert_eq!(ws.pos[v as usize] as usize, i);
-        }
+        ws.build_candidates(&edges, 2);
+        assert_eq!(ws.cand, vec![0, 1, 2]);
+        ws.peel_round(3);
+        let peeled: Vec<VertexId> = ws.round.iter().map(|&i| ws.cand[i as usize]).collect();
+        assert_eq!(peeled, vec![2]);
+        // 0 and 1 each lost their edge to 2.
+        let left: Vec<u32> = ws
+            .live
+            .iter()
+            .map(|&i| ws.cand_degree[i as usize])
+            .collect();
+        assert_eq!(left, vec![1, 1]);
+        ws.peel_round(2);
+        assert!(ws.round.is_empty());
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Properties pinning the vertex-cover engine (stamped degree pre-screen +
-//! compacted bucket-queue peeling + epoch-reset scratch) to the simple
+//! candidate-restricted peeling + epoch-reset scratch) to the simple
 //! reference algorithms: the new hot path must be a pure performance change,
 //! never a behavioural one.
 
-use graph::gen::er::gnm;
+use graph::gen::er::{gnm, gnp};
 use graph::{BipartiteGraph, Csr, Edge, Graph, VertexId};
 use matching::greedy::maximal_matching;
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BinaryHeap;
 use vertexcover::exact::{exact_cover_branch_and_bound, koenig_cover};
@@ -27,6 +27,41 @@ fn arb_graph(max_n: usize, density: f64) -> impl Strategy<Value = Graph> {
 /// non-monotone orders — the generic `peel_with_thresholds` contract.
 fn arb_thresholds(max_t: usize) -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(0usize..max_t, 0..8)
+}
+
+/// A few mutually adjacent hubs on top of sparse gnp, each hub also joined
+/// to about half of the other vertices, with thresholds drawn from the hubs'
+/// degree range (zeros included). Only the hubs can reach such thresholds, so
+/// a strict subset of mutually adjacent vertices is peelable, and peeling one
+/// hub lowers the degree of the others within a round schedule.
+fn arb_skewed() -> impl Strategy<Value = (Graph, Vec<usize>)> {
+    (20usize..80, 2u32..5, any::<u64>()).prop_map(|(n, hubs, seed)| {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let sparse = gnp(n, 2.0 / n as f64, &mut rng);
+        let mut pairs: Vec<(VertexId, VertexId)> =
+            sparse.edges().iter().map(|e| (e.u, e.v)).collect();
+        for h in 0..hubs {
+            pairs.extend((h + 1..hubs).map(|other| (h, other)));
+            for v in hubs..n as VertexId {
+                if rng.gen_bool(0.5) {
+                    pairs.push((h, v));
+                }
+            }
+        }
+        let g = Graph::from_pairs(n, pairs).expect("ids in range");
+        let degrees = g.degrees();
+        let hub_degrees = &degrees[..hubs as usize];
+        let lo = hub_degrees.iter().min().copied().unwrap_or(0) / 2;
+        let hi = hub_degrees.iter().max().copied().unwrap_or(0) + 2;
+        let rounds = rng.gen_range(1..8);
+        let thresholds = (0..rounds)
+            .map(|_| match rng.gen_range(0..8) {
+                0 => 0,
+                _ => rng.gen_range(lo..hi),
+            })
+            .collect();
+        (g, thresholds)
+    })
 }
 
 /// Spreads a graph's vertices over a sparse id space (multiplying ids by
@@ -230,18 +265,22 @@ proptest! {
 
     /// The engine peels exactly the reference's rounds — identical peeled
     /// sets round by round, identical used thresholds, identical residual
-    /// (edges and order) — for arbitrary threshold schedules.
+    /// (edges and order) — for arbitrary threshold schedules, on gnm inputs
+    /// and on skewed hub-over-gnp inputs.
     #[test]
     fn peeling_matches_reference_round_by_round(
         g in arb_graph(60, 0.15),
         thresholds in arb_thresholds(40),
+        skewed in arb_skewed(),
     ) {
         let mut engine = VcEngine::new();
-        let engine_out = engine.peel_with_thresholds(&g, &thresholds);
-        let reference = peel_with_thresholds_reference(&g, &thresholds);
-        prop_assert_eq!(engine_out.peeled_per_round, reference.peeled_per_round);
-        prop_assert_eq!(engine_out.thresholds, reference.thresholds);
-        prop_assert_eq!(engine_out.residual, reference.residual);
+        for (g, thresholds) in [(&g, &thresholds), (&skewed.0, &skewed.1)] {
+            let engine_out = engine.peel_with_thresholds(g, thresholds);
+            let reference = peel_with_thresholds_reference(g, thresholds);
+            prop_assert_eq!(engine_out.peeled_per_round, reference.peeled_per_round);
+            prop_assert_eq!(engine_out.thresholds, reference.thresholds);
+            prop_assert_eq!(engine_out.residual, reference.residual);
+        }
         prop_assert_eq!(engine.workspace().full_resets(), 0);
     }
 
@@ -261,14 +300,18 @@ proptest! {
     /// Workspace reuse is invisible: running a sequence of peelings (and
     /// other solves) through ONE engine returns exactly what fresh engines
     /// would, with zero O(n) resets — the property that makes the per-thread
-    /// engine behind the free functions deterministic.
+    /// engine behind the free functions deterministic. The skewed inputs run
+    /// after the gnm ones, so their small candidate sets meet the `pos`
+    /// entries the earlier solves left behind.
     #[test]
     fn workspace_reuse_is_invisible(
         graphs in proptest::collection::vec(arb_graph(50, 0.15), 1..6),
+        skewed in proptest::collection::vec(arb_skewed(), 1..4),
     ) {
         let mut engine = VcEngine::new();
-        for g in &graphs {
-            let schedule = parnas_ron_schedule(g.n(), 2);
+        let gnm_cases = graphs.iter().map(|g| (g, parnas_ron_schedule(g.n(), 2)));
+        let skewed_cases = skewed.iter().map(|(g, t)| (g, t.clone()));
+        for (g, schedule) in gnm_cases.chain(skewed_cases) {
             let reused = engine.peel_with_thresholds(g, &schedule);
             let fresh = VcEngine::new().peel_with_thresholds(g, &schedule);
             prop_assert_eq!(reused.peeled_per_round, fresh.peeled_per_round);
@@ -325,7 +368,7 @@ proptest! {
 #[test]
 fn vc_workspace_runs_zero_o_n_resets_at_scale() {
     // The counter behind the E14 claim: many solves over reused state, zero
-    // full clears, with both the pre-screen and the bucket path exercised.
+    // full clears, with both the pre-screen and the candidate rounds exercised.
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let sparse = graph::gen::er::gnp(20_000, 2e-4, &mut rng);
     let skewed = graph::gen::structured::star_forest(20, 300);

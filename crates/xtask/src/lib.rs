@@ -114,16 +114,32 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
             fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         diags.extend(rules::lint_tokens(&rel, &lexer::lex(&src), &hotpaths));
     }
-    // Every hotpaths.toml file must exist (a renamed file would otherwise
-    // silently drop its allocation lint).
-    for file in hotpaths.by_file.keys() {
-        if !root.join(file).is_file() {
+    // Every hotpaths.toml file must exist and define every listed function
+    // outside test code, walked or not (a renamed or deleted file or function
+    // would otherwise silently drop its allocation lint).
+    for (file, functions) in &hotpaths.by_file {
+        let path = root.join(file);
+        let mut drift = |message: String| {
             diags.push(Diagnostic {
                 file: HOTPATHS_PATH.to_string(),
                 line: 1,
                 rule: "hot-path-alloc",
-                message: format!("hotpaths.toml lists `{file}` but that file does not exist"),
-            });
+                message,
+            })
+        };
+        if !path.is_file() {
+            drift(format!(
+                "hotpaths.toml lists `{file}` but that file does not exist"
+            ));
+            continue;
+        }
+        let src = fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        for f in rules::missing_hot_path_fns(&lexer::lex(&src), functions) {
+            drift(format!(
+                "hotpaths.toml lists fn `{f}` in `{file}` but that file defines no such \
+                 function outside #[cfg(test)]"
+            ));
         }
     }
     for crate_dir in hygiene_crates(root) {

@@ -111,6 +111,38 @@ fn hot_path_alloc_fixture_fires_only_inside_watched_fn() {
     assert_eq!(lines(&diags, "hot-path-alloc"), vec![6, 7, 8, 9, 10]);
 }
 
+/// Config drift: every `hotpaths.toml` function that is gone from its file,
+/// or left only in test code, is reported against the config, as is a file
+/// that is gone — also for files outside the lint walk.
+#[test]
+fn hot_path_drift_fixture_reports_every_missing_function() {
+    let diags = xtask::lint_workspace(&fixture_dir().join("drift_workspace")).expect("lint runs");
+    let drift: Vec<&str> = diags
+        .iter()
+        .filter(|d| d.file == xtask::HOTPATHS_PATH)
+        .map(|d| d.message.as_str())
+        .collect();
+    assert_eq!(drift.len(), 4, "{diags:?}");
+    for (name, file) in [
+        ("deleted", "src/lib.rs"),
+        ("test_only", "src/lib.rs"),
+        ("renamed_away", "vendor/outside/src/lib.rs"),
+    ] {
+        assert!(
+            drift
+                .iter()
+                .any(|m| m.contains(&format!("fn `{name}` in `{file}`"))),
+            "{name}: {drift:?}"
+        );
+    }
+    assert!(drift
+        .iter()
+        .any(|m| m.contains("`src/gone.rs` but that file does not exist")));
+    assert!(drift
+        .iter()
+        .all(|m| !m.contains("`kept`") && !m.contains("`present`")));
+}
+
 #[test]
 fn missing_docs_fixture_fires_at_exact_line() {
     let diags = lint_fixture(

@@ -272,7 +272,7 @@ fn trap_instance_separates_maximal_from_maximum() {
     }
 }
 
-/// The bucket-queue peeling engine on a skewed-degree (star-heavy) graph:
+/// The peeling engine's threshold rounds on a skewed-degree (star-heavy) graph:
 /// high-degree centres force the threshold rounds to actually fire (the
 /// sparse-piece pre-screen cannot short-circuit), and the engine must agree
 /// with the pre-engine reference peeling round by round while the composed

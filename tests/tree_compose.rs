@@ -16,6 +16,9 @@
 //! * **Arena round-trip** — a partition written to an arena file and streamed
 //!   back through the out-of-core tree runner gives the bit-identical answer
 //!   to the in-memory tree protocol on the same seed.
+//! * **Peeling at every node** — on a skewed R-MAT arena, where leaf builds
+//!   and tree merges really peel, the engine-backed cover coreset gives the
+//!   same answers and communication as one built on the reference peeling.
 
 use coresets::matching_coreset::{MatchingCoresetBuilder, MaximumMatchingCoreset};
 use coresets::vc_coreset::{PeelingVcCoreset, VcCoresetBuilder, VcCoresetOutput};
@@ -25,12 +28,14 @@ use coresets::{
 };
 use distsim::{ArenaProtocol, CoordinatorProtocol};
 use graph::partition::{PartitionStrategy, PartitionedGraph};
-use graph::Graph;
+use graph::{Graph, GraphView};
 use matching::matching::{edges_form_matching, Matching};
 use matching::maximum::{maximum_matching_warm, maximum_matching_with, MaximumMatchingAlgorithm};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::Mutex;
+use vertexcover::peeling::peel_with_thresholds_reference;
 
 /// Strategy: a random simple graph with up to `max_n` vertices and a
 /// density-controlled number of random edges.
@@ -186,4 +191,99 @@ fn arena_tree_runs_match_the_in_memory_protocol() {
     assert!(mem_cover.answer.covers(&g));
 
     std::fs::remove_file(&path).unwrap();
+}
+
+/// The Theorem 2 coreset on the reference peeling, recording how many
+/// vertices each build (leaf or merge) peeled, in call order.
+#[derive(Default)]
+struct ReferencePeelingCoreset {
+    peeled: Mutex<Vec<usize>>,
+}
+
+impl VcCoresetBuilder for ReferencePeelingCoreset {
+    fn build(
+        &self,
+        piece: GraphView<'_>,
+        params: &CoresetParams,
+        _machine: usize,
+        _rng: &mut ChaCha8Rng,
+    ) -> VcCoresetOutput {
+        let outcome = peel_with_thresholds_reference(&piece, &params.peeling_schedule());
+        self.peeled.lock().unwrap().push(outcome.peeled_count());
+        VcCoresetOutput {
+            fixed_vertices: outcome.peeled_per_round.into_iter().flatten().collect(),
+            residual: outcome.residual,
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "reference-peeling-vc-coreset"
+    }
+}
+
+/// Leaf builds and tree merges that really peel: on a `rmat_graph500(11, 16)`
+/// arena over k = 8 machines, the cover coreset gives the same leaves, the
+/// same tree-composed cover, and the same arena-run answer and communication
+/// as the reference peeling.
+#[test]
+fn rmat_arena_cover_peels_like_the_reference() {
+    let (k, fan_in, seed) = (8, 2, 1);
+    let g = graph::gen::rmat::rmat_graph500(11, 16, &mut ChaCha8Rng::seed_from_u64(5));
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let partition = PartitionedGraph::new(&g, k, PartitionStrategy::Random, &mut rng).unwrap();
+    let params = CoresetParams::new(g.n(), k);
+    let reference = ReferencePeelingCoreset::default();
+
+    let build_leaves = |builder: &dyn VcCoresetBuilder| -> Vec<VcCoresetOutput> {
+        partition
+            .views()
+            .iter()
+            .enumerate()
+            .map(|(i, piece)| builder.build(*piece, &params, i, &mut machine_rng(seed, i)))
+            .collect()
+    };
+    let leaves = build_leaves(&PeelingVcCoreset::new());
+    let reference_leaves = build_leaves(&reference);
+    for (leaf, expected) in leaves.iter().zip(&reference_leaves) {
+        assert_eq!(leaf.fixed_vertices, expected.fixed_vertices);
+        assert_eq!(leaf.residual, expected.residual);
+    }
+    let cover = tree_compose(
+        &CoverProblem(&PeelingVcCoreset::new()),
+        g.n(),
+        &params,
+        seed,
+        fan_in,
+        leaves,
+    );
+    let expected = tree_compose(
+        &CoverProblem(&reference),
+        g.n(),
+        &params,
+        seed,
+        fan_in,
+        reference_leaves,
+    );
+    assert_eq!(cover, expected);
+    assert!(cover.covers(&g));
+    let peeled = reference.peeled.lock().unwrap().clone();
+    let (leaf_peels, merge_peels) = peeled.split_at(k);
+    assert!(
+        leaf_peels.iter().any(|&p| p > 0) && merge_peels.iter().any(|&p| p > 0),
+        "leaves {leaf_peels:?} and merges {merge_peels:?} must both peel"
+    );
+
+    let path = std::env::temp_dir().join(format!("rc_rmat_peel_it_{}.bin", std::process::id()));
+    graph::write_arena_file(&path, &partition).unwrap();
+    let arena = graph::ArenaFile::open(&path).unwrap();
+    let run = ArenaProtocol::tree(fan_in)
+        .run_vertex_cover(&arena, &PeelingVcCoreset::new(), seed)
+        .unwrap();
+    let reference_run = ArenaProtocol::tree(fan_in)
+        .run_vertex_cover(&arena, &ReferencePeelingCoreset::default(), seed)
+        .unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(run.answer, reference_run.answer);
+    assert_eq!(run.communication, reference_run.communication);
+    assert_eq!(run.answer, cover, "the arena run composes the same tree");
 }
